@@ -190,7 +190,7 @@ def test_e18_slo(benchmark):
         and len(system.tracer.roots) < len(results)
     )
     storm_sampled_out = system.tracer.sampled_out
-    storm_qps = system.obs.window.rate("query.requests", federation="bank")
+    storm_qps = system.obs.window.rate("query.latency_s", federation="bank")
 
     # Telemetry memory stays bounded no matter the storm size.
     assert len(system.tracer.roots) <= 4096

@@ -6,15 +6,16 @@ layers):
 
 - :class:`PlanCache` — optimized :class:`~repro.query.localizer.GlobalPlan`
   objects keyed by (SQL text, optimizer, federation schema version, per-site
-  statistics versions); a hit skips parse → expand → plan entirely
+  statistics versions); a hit skips parse → expand → plan entirely and
+  hands back the shared, read-only plan
 - :class:`FragmentCache` — shipped fragment results keyed by (site, export,
-  fragment-SQL digest), validated against per-export data versions that
-  gateways bump when writes commit; a hit costs zero network messages
+  codec, fragment SQL text), validated against per-export data versions
+  that gateways bump when writes commit; a hit costs zero network messages
 
 Both are bounded LRUs (:class:`LRUCache`) and fully thread-safe.
 """
 
-from repro.cache.fragments import CachedFragment, FragmentCache, fragment_digest
+from repro.cache.fragments import CachedFragment, FragmentCache
 from repro.cache.lru import LRUCache
 from repro.cache.plans import PlanCache
 
@@ -23,5 +24,4 @@ __all__ = [
     "FragmentCache",
     "LRUCache",
     "PlanCache",
-    "fragment_digest",
 ]

@@ -3,7 +3,7 @@
 The most expensive part of a global query is shipping fragment results
 from component sites; re-fetching data that has not changed buys nothing
 but messages.  This cache keeps shipped fragments at the federation site,
-keyed by ``(site, export, fragment-SQL digest)``, and validates every hit
+keyed by ``(site, export, codec, fragment SQL text)``, and validates every hit
 against the owning gateway's *data version* for that export — a counter
 bumped only when a write to the export's local table **commits** (see
 :meth:`repro.gateway.Gateway.data_version`).  A stale entry is dropped on
@@ -16,22 +16,9 @@ degraded (``allow_partial``) fragments are never stored.
 
 from __future__ import annotations
 
-import hashlib
 from dataclasses import dataclass
 
 from repro.cache.lru import LRUCache
-
-
-def fragment_digest(sql_text: str, codec: str = "") -> str:
-    """Stable digest of one shipped fragment query's SQL text.
-
-    ``codec`` folds the wire-encoding family into the digest, so entries
-    stored compressed and entries stored raw never shadow each other when
-    the ``wire_compression`` knob is toggled on a live system.
-    """
-    return hashlib.sha256(
-        (sql_text + "\x00" + codec).encode()
-    ).hexdigest()[:24]
 
 
 @dataclass
@@ -73,8 +60,16 @@ class FragmentCache:
     @staticmethod
     def key(
         site: str, export: str, sql_text: str, codec: str = ""
-    ) -> tuple[str, str, str]:
-        return (site, export.lower(), fragment_digest(sql_text, codec))
+    ) -> tuple[str, str, str, str]:
+        """The entry key: the fragment's exact SQL text, not a digest.
+
+        Equal keys mean equal queries, so entries never collide.  Python
+        caches a string's hash on the string, so the text a cached plan
+        memoises per fetch is hashed once, however often it is probed.
+        ``codec`` keeps entries stored compressed and entries stored raw
+        apart when ``wire_compression`` is toggled on a live system.
+        """
+        return (site, export.lower(), codec, sql_text)
 
     def lookup(
         self,

@@ -5,22 +5,23 @@ text, the chosen optimizer, the federation's schema, and the statistics
 the cost model consulted — so a plan can be reused as long as that whole
 key is unchanged.  The key therefore includes the federation's
 ``schema_version`` (bumped on any relation (re)definition) and every
-gateway's ``stats_version`` (bumped when its statistics cache is
-invalidated): redefining a schema or committing DML flushes affected
-entries implicitly by changing the key.  With adaptive feedback enabled
-the key also carries the ``runtime_stats_version`` of the federation's
-:class:`~repro.query.feedback.RuntimeStatsStore`, so plans compiled from
-superseded learned cardinalities expire the same way — and stop expiring
-once the learned estimates converge.
+gateway's ``stats_version`` (bumped when a committed write or a refresh
+replaces its statistics): redefining a schema or committing DML flushes
+affected entries implicitly by changing the key.  With adaptive feedback
+enabled the key also carries the ``runtime_stats_version`` of the
+federation's :class:`~repro.query.feedback.RuntimeStatsStore`, so plans
+compiled from superseded learned cardinalities expire the same way — and
+stop expiring once the learned estimates converge.
 
-Plans are mutated during execution (fragment registration annotates
-them), so the cache stores and returns deep copies — the cached master is
-never shared with an executing query.
+Cached plans are compiled artefacts, **shared and read-only**: every hit
+returns the same :class:`~repro.query.localizer.GlobalPlan` object, to any
+number of concurrent executions.  Execution never writes to a plan; the
+one code path that revises a plan after planning, mid-query re-planning
+(:meth:`~repro.query.optimizer.CostBasedOptimizer.replan`), works on a
+private copy.
 """
 
 from __future__ import annotations
-
-import copy
 
 from repro.cache.lru import LRUCache
 from repro.query.localizer import GlobalPlan
@@ -33,13 +34,10 @@ class PlanCache:
         self._lru = LRUCache(capacity)
 
     def get(self, key: tuple) -> GlobalPlan | None:
-        plan = self._lru.get(key)
-        if plan is None:
-            return None
-        return copy.deepcopy(plan)
+        return self._lru.get(key)
 
     def put(self, key: tuple, plan: GlobalPlan) -> None:
-        self._lru.put(key, copy.deepcopy(plan))
+        self._lru.put(key, plan)
 
     def clear(self) -> int:
         return self._lru.clear()

@@ -187,11 +187,6 @@ class Gateway:
                     self.stats_version += 1
             return stats
 
-    def invalidate_stats(self) -> None:
-        with self._mutex:
-            self._stats_cache.clear()
-            self.stats_version += 1
-
     # ------------------------------------------------------------------
     # Fragment-cache versioning
     # ------------------------------------------------------------------
@@ -227,9 +222,13 @@ class Gateway:
     def _apply_writes(self, writes: set[str] | None) -> None:
         """Make a resolved branch's writes visible to version readers.
 
-        ``None`` means the branch's write set was lost (e.g. resolved
-        through recovery after a process restart): conservatively bump the
-        site-wide epoch instead — over-invalidation is always safe.
+        The only place a write moves this gateway's versions — fragment
+        data versions and ``stats_version`` alike — so DML inside an open
+        branch expires nothing, an abort expires nothing, and a commit
+        expires once.  ``None`` means the branch's write set was lost
+        (e.g. resolved through recovery after a process restart):
+        conservatively bump the site-wide epoch instead — over-invalidation
+        is always safe.
         """
         with self._mutex:
             if writes is None:
@@ -359,15 +358,14 @@ class Gateway:
             session = self._session_for(global_id)
             result = self._run_local(session, sql_text, timeout)
             self.network.send(self.site, from_site, 8, "ack", trace)
-        # Track which local table this branch wrote: fragment-cache
-        # versions bump only if (and when) the branch commits.  An
-        # autocommit DML (no global transaction) committed just now.
+        # Track which local table this branch wrote: fragment-cache and
+        # statistics versions bump only if (and when) the branch commits.
+        # An autocommit DML (no global transaction) committed just now.
         written = getattr(local_stmt, "table", None)
         if global_id is None:
             self._apply_writes({written.lower()} if written else None)
         else:
             self._record_write(global_id, written)
-        self.invalidate_stats()
         if isinstance(result, ResultSet):  # pragma: no cover - defensive
             return len(result)
         return result
@@ -592,7 +590,6 @@ class Gateway:
         result = self.dbms.connect().execute(local_text)
         written = getattr(statement, "table", None)
         self._apply_writes({written.lower()} if written else None)
-        self.invalidate_stats()
         if isinstance(result, ResultSet):  # pragma: no cover - defensive
             return len(result)
         return result

@@ -77,9 +77,9 @@ class Observability:
         self.slos: dict[str, SLO] = {}
         self._clock = lambda: 0.0
         self._request_ids = itertools.count(1)
-
-    def span(self, name: str, parent=None, **tags: object):
-        return self.tracer.span(name, parent=parent, **tags)
+        #: ``span(name, parent=None, **tags)``: the tracer's own method,
+        #: bound here so a span costs no extra call layer.
+        self.span = self.tracer.span
 
     def emit(self, etype: str, sim_s: float | None = None, **fields: object):
         """Record one structured event (no-op when disabled)."""
@@ -137,15 +137,16 @@ class Observability:
         """Feed one finished request into the window and every SLO.
 
         ``ok`` means the request succeeded *and* was not degraded; the
-        latency is simulated seconds.  Each call re-evaluates the
-        registered SLOs, so burn-rate alerts fire (and clear) on the
-        request path itself — no separate evaluation thread.
+        latency is simulated seconds.  The ``query.latency_s`` series
+        counts the requests too (failures also count under
+        ``query.errors``).  Each call re-evaluates the registered SLOs, so
+        burn-rate alerts fire (and clear) on the request path itself — no
+        separate evaluation thread.
         """
         if not self.enabled:
             return
         labels = {"federation": federation} if federation else {}
         window = self.window
-        window.inc("query.requests", **labels)
         if not ok:
             window.inc("query.errors", **labels)
         window.observe("query.latency_s", sim_latency_s, **labels)
@@ -177,8 +178,8 @@ class Observability:
         window = self.window
         metrics = self.metrics
         span = window.window_s
-        for labels in window.label_sets("query.requests"):
-            requests = window.count("query.requests", **labels)
+        for labels in window.label_sets("query.latency_s"):
+            requests = window.count("query.latency_s", **labels)
             errors = window.count("query.errors", **labels)
             metrics.set_gauge("window.qps", requests / span, **labels)
             metrics.set_gauge(
@@ -186,7 +187,6 @@ class Observability:
                 errors / requests if requests else 0.0,
                 **labels,
             )
-        for labels in window.label_sets("query.latency_s"):
             summary = window.summary("query.latency_s", **labels)
             if summary is None:
                 continue

@@ -174,8 +174,9 @@ def _window_stats(obs) -> dict:
     window = obs.window
     span = window.window_s
     out: dict = {"window_s": span, "federations": {}, "sites": {}}
-    for labels in window.label_sets("query.requests"):
-        requests = window.count("query.requests", **labels)
+    for labels in window.label_sets("query.latency_s"):
+        # One latency sample per request: the series counts requests too.
+        requests = window.count("query.latency_s", **labels)
         errors = window.count("query.errors", **labels)
         summary = window.summary("query.latency_s", **labels)
         out["federations"][labels.get("federation", "")] = {

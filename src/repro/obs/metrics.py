@@ -32,6 +32,12 @@ PERCENTILES = (50.0, 95.0, 99.0)
 
 
 def _key(name: str, labels: dict[str, object]) -> MetricKey:
+    # Zero or one label is every hot-path call: skip the generic sort.
+    if not labels:
+        return (name, ())
+    if len(labels) == 1:
+        for label, value in labels.items():
+            return (name, ((label, str(value)),))
     return (name, tuple(sorted((k, str(v)) for k, v in labels.items())))
 
 
@@ -124,6 +130,19 @@ class MetricsRegistry:
         if not self.enabled:
             return
         key = _key(name, labels)
+        with self._lock:
+            self._counters[key] = self._counters.get(key, 0.0) + amount
+
+    @staticmethod
+    def key(name: str, **labels: object) -> MetricKey:
+        """The key of one series, for :meth:`inc_key`."""
+        return _key(name, labels)
+
+    def inc_key(self, key: MetricKey, amount: float = 1.0) -> None:
+        """:meth:`inc` by a prebuilt :meth:`key`: a per-request hot path
+        builds its series key once, not on every increment."""
+        if not self.enabled:
+            return
         with self._lock:
             self._counters[key] = self._counters.get(key, 0.0) + amount
 

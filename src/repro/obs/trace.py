@@ -24,6 +24,11 @@ import threading
 import time
 from collections import deque
 
+from repro.obs.metrics import MetricsRegistry
+
+#: Bumped on every root eviction, i.e. per query once the ring is full.
+_SPANS_DROPPED = MetricsRegistry.key("obs.spans_dropped")
+
 
 class Span:
     """One traced interval; use as a context manager via ``Tracer.span``."""
@@ -231,7 +236,7 @@ class Tracer:
                 ):
                     self.dropped += 1
                     if self.metrics is not None:
-                        self.metrics.inc("obs.spans_dropped")
+                        self.metrics.inc_key(_SPANS_DROPPED)
                 self.roots.append(span)
 
     def _keep_root(self, span: Span) -> bool:

@@ -18,6 +18,7 @@ import threading
 import time
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
+from typing import NamedTuple
 
 from repro.cache import FragmentCache
 from repro.engine import LocalEngine, ResultSet
@@ -60,6 +61,9 @@ class GlobalResult:
 
     columns: list[str]
     rows: list[tuple]
+    #: The executed plan.  Read-only: usually the plan cache's entry,
+    #: shared with every other execution of the statement (a mid-query
+    #: re-plan hands back its own revised copy instead).
     plan: GlobalPlan
     trace: MessageTrace
     fetched_rows: int = 0
@@ -113,11 +117,6 @@ class GlobalResult:
 
 
 @dataclass
-class _Stage:
-    fetches: list[Fetch] = field(default_factory=list)
-
-
-@dataclass
 class _FetchOutcome:
     """What one fetch produced, collected off a worker or inline."""
 
@@ -126,6 +125,30 @@ class _FetchOutcome:
     actual: FetchActual | None = None
     degraded: bool = False
     error: BaseException | None = None
+
+
+class _Probe(NamedTuple):
+    """One fragment-cache lookup, kept so a miss can store its result."""
+
+    sql: str  #: the fragment's SQL text, its cache key
+    version: tuple  #: the export's data version seen before the lookup
+
+
+@dataclass
+class _Execution:
+    """Per-call state shared by every fetch of one :meth:`execute`."""
+
+    trace: MessageTrace
+    timeout: float | None
+    global_id: object | None
+    allow_partial: bool
+    #: Sites skipped so far; their fragments materialise empty.
+    missing: set[str]
+    health: object
+    obs: Observability
+    use_cache: bool
+    request_id: str | None
+    fetch_results: dict[int, ResultSet] = field(default_factory=dict)
 
 
 class GlobalExecutor:
@@ -200,6 +223,13 @@ class GlobalExecutor:
         return self.federation.gateways
 
     @property
+    def _codec(self) -> str:
+        """Payload family folded into fragment-cache keys: toggling
+        ``wire_compression`` on a live federation must never replay
+        entries stored under the other payload format."""
+        return "dictrle" if self.wire_compression else ""
+
+    @property
     def obs(self) -> Observability:
         if self._obs is not None:
             return self._obs
@@ -239,18 +269,27 @@ class GlobalExecutor:
         replanner the schedule is identical to the non-adaptive executor.
         """
         trace = trace or MessageTrace()
-        obs = self.obs
-        health = self._health()
-        missing: set[str] = set(skip_sites or ())
+        sim_start = trace.elapsed_s
+        run = _Execution(
+            trace=trace,
+            timeout=timeout,
+            global_id=global_id,
+            allow_partial=allow_partial,
+            missing=set(skip_sites or ()),
+            health=self._health(),
+            obs=self.obs,
+            use_cache=self.fragment_cache is not None and global_id is None,
+            request_id=request_id,
+        )
+        obs = run.obs
         catalog = Catalog(f"federation:{self.federation.name}")
         engine = LocalEngine(
             catalog,
             functions=self.federation.functions.as_dict(),
             vectorized=self.vectorized,
         )
-        use_cache = self.fragment_cache is not None and global_id is None
 
-        fetch_results: dict[int, ResultSet] = {}
+        fetch_results = run.fetch_results
         fetch_actuals: dict[int, FetchActual] = {}
         fetched_rows = 0
         remaining = {fetch.index: fetch for fetch in plan.fetches}
@@ -259,47 +298,13 @@ class GlobalExecutor:
         while remaining:
             stage = self._next_stage(remaining, done)
             with obs.span("execute.stage", stage=stage_index) as stage_span:
-                groups = self._site_groups(stage)
-                run_parallel = self.parallel_fetches > 1 and len(groups) > 1
                 trace.begin_parallel()
                 # end_parallel() must run even when a fetch raises
                 # (MessageDropped, GatewayTimeout, ...): a caller-supplied
                 # trace outlives this call, and an unbalanced parallel
                 # section would swallow every later cost it records.
                 try:
-                    if run_parallel:
-                        outcomes = self._run_stage_parallel(
-                            groups,
-                            fetch_results,
-                            trace,
-                            timeout,
-                            global_id,
-                            allow_partial,
-                            missing,
-                            health,
-                            obs,
-                            stage_span,
-                            use_cache,
-                            request_id,
-                        )
-                    else:
-                        outcomes = [
-                            self._run_one(
-                                fetch,
-                                fetch_results,
-                                trace,
-                                timeout,
-                                global_id,
-                                allow_partial,
-                                missing,
-                                health,
-                                obs,
-                                stage_span,
-                                use_cache,
-                                request_id=request_id,
-                            )
-                            for fetch in stage.fetches
-                        ]
+                    outcomes = self._run_stage(stage, run, stage_span)
                     # Workers capture failures instead of raising (every
                     # branch must finish before the section closes); the
                     # earliest failed fetch in plan order wins, matching
@@ -317,29 +322,25 @@ class GlobalExecutor:
                     if outcome.actual is not None:
                         fetch_actuals[fetch.index] = outcome.actual
                     fetched_rows += len(outcome.result.rows)
-                stage_span.tag(fetches=len(stage.fetches))
-            for fetch in stage.fetches:
+                stage_span.tag(fetches=len(stage))
+            for fetch in stage:
                 self._register_fragment(
                     catalog, fetch, fetch_results[fetch.index]
                 )
                 del remaining[fetch.index]
                 done.add(fetch.index)
             if replanner is not None and remaining:
-                self._maybe_replan(
+                plan = self._maybe_replan(
                     plan,
                     stage,
                     stage_index,
                     replanner,
                     remaining,
                     done,
-                    fetch_results,
                     fetch_actuals,
-                    missing,
-                    health,
-                    obs,
-                    trace,
-                    request_id,
+                    run,
                 )
+                remaining = {index: plan.fetches[index] for index in remaining}
             stage_index += 1
 
         with obs.span("execute.residual") as residual_span:
@@ -348,8 +349,15 @@ class GlobalExecutor:
             trace.add_compute(residual_sim)
             residual_span.set_sim(residual_sim)
             residual_span.tag(rows=len(result.rows))
+        # Execution metrics live here, beside query.degraded, so reads
+        # inside global transactions count too.
+        metrics = obs.metrics
+        metrics.inc("query.executed", strategy=plan.strategy)
+        metrics.inc("query.rows_fetched", fetched_rows)
+        metrics.observe("query.sim_elapsed_s", trace.elapsed_s - sim_start)
+        missing = run.missing
         if missing:
-            obs.metrics.inc("query.degraded")
+            metrics.inc("query.degraded")
             obs.emit(
                 "query.degraded", sites=sorted(missing), request=request_id
             )
@@ -423,51 +431,21 @@ class GlobalExecutor:
     # Fetch scheduling
     # ------------------------------------------------------------------
 
-    def _stages(self, plan: GlobalPlan) -> list[_Stage]:
-        """Topological stages: semijoin sources before their targets."""
-        remaining = {fetch.index: fetch for fetch in plan.fetches}
-        done: set[int] = set()
-        stages: list[_Stage] = []
-        while remaining:
-            stage = _Stage()
-            for index, fetch in list(remaining.items()):
-                dependency = (
-                    fetch.semijoin.source_index
-                    if fetch.semijoin is not None
-                    else None
-                )
-                if dependency is None or dependency in done:
-                    stage.fetches.append(fetch)
-            if not stage.fetches:
-                raise FederationError(
-                    "cyclic semijoin dependencies in global plan"
-                )
-            for fetch in stage.fetches:
-                del remaining[fetch.index]
-                done.add(fetch.index)
-            stages.append(stage)
-        return stages
-
     def _next_stage(
         self, remaining: dict[int, Fetch], done: set[int]
-    ) -> _Stage:
+    ) -> list[Fetch]:
         """The currently-ready fetches: no dependency, or source done.
 
-        Equivalent to one iteration of :meth:`_stages`, but computed
-        against the *live* plan so mid-query re-planning (which rewires
-        semijoin dependencies of unexecuted fetches) takes effect on the
-        very next stage.
+        Computed against the *live* plan, so mid-query re-planning (which
+        rewires semijoin dependencies of unexecuted fetches) takes effect
+        on the very next stage.
         """
-        stage = _Stage()
-        for fetch in remaining.values():
-            dependency = (
-                fetch.semijoin.source_index
-                if fetch.semijoin is not None
-                else None
-            )
-            if dependency is None or dependency in done:
-                stage.fetches.append(fetch)
-        if not stage.fetches:
+        stage = [
+            fetch
+            for fetch in remaining.values()
+            if fetch.semijoin is None or fetch.semijoin.source_index in done
+        ]
+        if not stage:
             raise FederationError(
                 "cyclic semijoin dependencies in global plan"
             )
@@ -476,19 +454,14 @@ class GlobalExecutor:
     def _maybe_replan(
         self,
         plan: GlobalPlan,
-        stage: _Stage,
+        stage: list[Fetch],
         stage_index: int,
         replanner,
         remaining: dict[int, Fetch],
         done: set[int],
-        fetch_results: dict[int, ResultSet],
         fetch_actuals: dict[int, FetchActual],
-        missing: set[str],
-        health,
-        obs: Observability,
-        trace: MessageTrace,
-        request_id: str | None = None,
-    ) -> None:
+        run: _Execution,
+    ) -> GlobalPlan:
         """Re-optimize remaining stages if this stage's actuals diverged.
 
         Triggers when a just-completed fetch's measured row count is off
@@ -497,9 +470,12 @@ class GlobalExecutor:
         check — probe admission stays with the fetch path).  Delegates the
         actual plan surgery to ``replanner.replan`` with completed fetches
         pinned and exact key counts read off the materialised fragments.
+        Returns the plan to continue with: ``plan`` itself, or the
+        replanner's revised private copy (``plan`` may be a shared
+        plan-cache entry and is never written to).
         """
         trigger: str | None = None
-        for fetch in stage.fetches:
+        for fetch in stage:
             actual = fetch_actuals.get(fetch.index)
             if actual is None or fetch.est_rows is None:
                 continue
@@ -514,13 +490,16 @@ class GlobalExecutor:
                     f"({ratio:.1f}x)"
                 )
                 break
+        health = run.health
         if trigger is None and health is not None:
             for fetch in remaining.values():
-                if fetch.site not in missing and health.is_blocked(fetch.site):
+                if fetch.site not in run.missing and health.is_blocked(
+                    fetch.site
+                ):
                     trigger = f"breaker open: site {fetch.site!r}"
                     break
         if trigger is None:
-            return
+            return plan
 
         # Degraded fetches count as executed (they must stay pinned) but
         # carry (0, 0) and are refused as key sources via key_count=None.
@@ -536,7 +515,7 @@ class GlobalExecutor:
         def key_count(index: int, column: str) -> int | None:
             if fetch_actuals.get(index) is None:
                 return None  # degraded fragment: not a usable key source
-            result = fetch_results.get(index)
+            result = run.fetch_results.get(index)
             if result is None:
                 return None
             try:
@@ -545,72 +524,89 @@ class GlobalExecutor:
                 return None
             return len({value for value in values if value is not None})
 
-        notes = replanner.replan(
+        plan, notes = replanner.replan(
             plan, executed, key_count, stage=stage_index
         )
         if notes:
-            obs.metrics.inc("query.replans")
-            obs.emit(
+            run.obs.metrics.inc("query.replans")
+            run.obs.emit(
                 "query.replan",
                 stage=stage_index,
                 trigger=trigger,
                 changes=len(notes),
-                sim_s=trace.elapsed_s,
-                request=request_id,
+                sim_s=run.trace.elapsed_s,
+                request=run.request_id,
             )
+        return plan
 
-    def _site_groups(self, stage: _Stage) -> list[tuple[str, list[Fetch]]]:
-        """Stage fetches grouped by site, preserving first-seen order.
+    def _run_stage(
+        self, stage: list[Fetch], run: _Execution, stage_span
+    ) -> list[_FetchOutcome]:
+        """Run one stage; outcomes come back in plan (fetch-index) order.
+
+        Skipped sites and fragment-cache hits are settled here, on the
+        calling thread: every fetch without a semijoin probes the cache
+        exactly once, a hit is materialised in place, and only the misses
+        are shipped — on the worker pool when they span several sites —
+        each carrying its probe, so its SQL text and data version are not
+        computed again.  A semijoin fetch's text depends on this
+        execution's key values, so it probes where it ships.
+        """
+        settled: list[_FetchOutcome] = []
+        misses: list[tuple[Fetch, _Probe | None]] = []
+        for fetch in stage:
+            outcome = self._skip(fetch, run)
+            probe = None
+            if outcome is None and run.use_cache and fetch.semijoin is None:
+                outcome, probe = self._probe(fetch, fetch.shipped_sql(), run)
+            if outcome is not None:
+                settled.append(outcome)
+            else:
+                misses.append((fetch, probe))
+        groups = self._site_groups(misses)
+        if self.parallel_fetches > 1 and len(groups) > 1:
+            shipped = self._run_stage_parallel(groups, run, stage_span)
+        else:
+            shipped = [
+                self._run_one(fetch, run, stage_span, probe=probe)
+                for fetch, probe in misses
+            ]
+        outcomes = settled + shipped
+        outcomes.sort(key=lambda outcome: outcome.fetch.index)
+        return outcomes
+
+    def _site_groups(
+        self, misses: list[tuple[Fetch, _Probe | None]]
+    ) -> list[list[tuple[Fetch, _Probe | None]]]:
+        """Fetches grouped by site, preserving first-seen order.
 
         One worker per group: a gateway never runs two fetches of the same
         query concurrently, and within a site the sequential fetch order
         (hence accounting order) is preserved exactly.
         """
-        groups: dict[str, list[Fetch]] = {}
-        for fetch in stage.fetches:
-            groups.setdefault(fetch.site, []).append(fetch)
-        return list(groups.items())
+        groups: dict[str, list[tuple[Fetch, _Probe | None]]] = {}
+        for miss in misses:
+            groups.setdefault(miss[0].site, []).append(miss)
+        return list(groups.values())
 
     def _run_stage_parallel(
         self,
-        groups: list[tuple[str, list[Fetch]]],
-        fetch_results: dict[int, ResultSet],
-        trace: MessageTrace,
-        timeout: float | None,
-        global_id: object | None,
-        allow_partial: bool,
-        missing: set[str],
-        health,
-        obs: Observability,
+        groups: list[list[tuple[Fetch, _Probe | None]]],
+        run: _Execution,
         stage_span,
-        use_cache: bool,
-        request_id: str | None = None,
     ) -> list[_FetchOutcome]:
         """Run one stage's site groups on the worker pool.
 
-        Returns outcomes in the stage's original fetch order.  Every
-        future is awaited (even after a failure) so no branch is still
-        recording when the caller closes the parallel section.
+        Every future is awaited (even after a failure) so no branch is
+        still recording when the caller closes the parallel section.
         """
         pool = self._ensure_pool()
 
-        def run_group(fetches: list[Fetch]) -> list[_FetchOutcome]:
+        def run_group(group) -> list[_FetchOutcome]:
             outcomes = []
-            for fetch in fetches:
+            for fetch, probe in group:
                 outcome = self._run_one(
-                    fetch,
-                    fetch_results,
-                    trace,
-                    timeout,
-                    global_id,
-                    allow_partial,
-                    missing,
-                    health,
-                    obs,
-                    stage_span,
-                    use_cache,
-                    capture_errors=True,
-                    request_id=request_id,
+                    fetch, run, stage_span, capture_errors=True, probe=probe
                 )
                 outcomes.append(outcome)
                 if outcome.error is not None:
@@ -620,87 +616,78 @@ class GlobalExecutor:
                     break
             return outcomes
 
-        futures = [pool.submit(run_group, fetches) for _, fetches in groups]
-        by_index: dict[int, _FetchOutcome] = {}
-        for future in futures:
-            for outcome in future.result():
-                by_index[outcome.fetch.index] = outcome
-        ordered = []
-        for _, fetches in groups:
-            for fetch in fetches:
-                if fetch.index in by_index:
-                    ordered.append(by_index[fetch.index])
-        ordered.sort(key=lambda o: o.fetch.index)
-        return ordered
+        futures = [pool.submit(run_group, group) for group in groups]
+        return [outcome for future in futures for outcome in future.result()]
+
+    def _skip(self, fetch: Fetch, run: _Execution) -> _FetchOutcome | None:
+        """A degraded outcome when ``fetch``'s site is skipped, else None."""
+        if fetch.site not in run.missing:
+            # is_blocked (pure), not allow(): the half-open probe slot is
+            # admitted by the gateway's own circuit check on the send path
+            # — consuming it here would double-count one request as two
+            # probes (and starve the single-flight probe).
+            if not (
+                run.allow_partial
+                and run.health is not None
+                and run.health.is_blocked(fetch.site)
+            ):
+                return None
+            run.missing.add(fetch.site)
+        return _FetchOutcome(
+            fetch, self._degraded_fragment(fetch, run.obs), degraded=True
+        )
+
+    def _probe(
+        self, fetch: Fetch, sql: str, run: _Execution
+    ) -> tuple[_FetchOutcome | None, _Probe]:
+        """Look ``fetch`` up in the fragment cache: the hit (if any), and
+        the probe a miss needs to store what it ships."""
+        version = self.gateways[fetch.site].data_version(fetch.export)
+        probe = _Probe(sql, version)
+        hit = self.fragment_cache.lookup(
+            fetch.site, fetch.export, sql, probe.version, codec=self._codec
+        )
+        if hit is None:
+            run.obs.metrics.inc("fragcache.miss", site=fetch.site)
+            return None, probe
+        run.obs.metrics.inc("fragcache.hit", site=fetch.site)
+        rows = hit.materialize()
+        outcome = _FetchOutcome(
+            fetch,
+            ResultSet(list(hit.columns), rows),
+            FetchActual(rows=len(rows), cached=True),
+        )
+        return outcome, probe
 
     def _run_one(
         self,
         fetch: Fetch,
-        fetch_results: dict[int, ResultSet],
-        trace: MessageTrace,
-        timeout: float | None,
-        global_id: object | None,
-        allow_partial: bool,
-        missing: set[str],
-        health,
-        obs: Observability,
+        run: _Execution,
         stage_span,
-        use_cache: bool,
         capture_errors: bool = False,
-        request_id: str | None = None,
+        probe: _Probe | None = None,
     ) -> _FetchOutcome:
-        """One fetch end to end: degrade, cache lookup, ship, cache store.
+        """One fetch end to end: skip, cache lookup, ship, cache store.
 
+        ``probe`` is the fragment-cache miss :meth:`_run_stage` already
+        recorded; without one (a semijoin fetch) the lookup happens here.
         With ``capture_errors`` (worker mode) fatal exceptions come back
         in the outcome instead of raising, so sibling branches finish and
         the caller re-raises deterministically.
         """
         outcome = _FetchOutcome(fetch=fetch)
         try:
-            if fetch.site in missing:
-                outcome.degraded = True
-                outcome.result = self._degraded_fragment(fetch, obs)
-                return outcome
-            # is_blocked (pure), not allow(): the half-open probe slot is
-            # admitted by the gateway's own circuit check on the send path
-            # — consuming it here would double-count one request as two
-            # probes (and starve the single-flight probe).
-            if (
-                allow_partial
-                and health is not None
-                and health.is_blocked(fetch.site)
-            ):
-                missing.add(fetch.site)
-                outcome.degraded = True
-                outcome.result = self._degraded_fragment(fetch, obs)
-                return outcome
-            shipped = self._shipped_query(fetch, fetch_results)
-            gateway = self.gateways[fetch.site]
-            shipped_sql: str | None = None
-            version_before: tuple | None = None
-            # The codec family is part of the cache key: toggling the knob
-            # on a live federation must never replay entries stored under
-            # the other payload format.
-            cache_codec = "dictrle" if self.wire_compression else ""
-            if use_cache:
-                shipped_sql = to_sql(shipped)
-                version_before = gateway.data_version(fetch.export)
-                hit = self.fragment_cache.lookup(
-                    fetch.site,
-                    fetch.export,
-                    shipped_sql,
-                    version_before,
-                    codec=cache_codec,
-                )
+            skipped = self._skip(fetch, run)
+            if skipped is not None:
+                return skipped
+            shipped = self._shipped_query(fetch, run.fetch_results)
+            if run.use_cache and probe is None:
+                hit, probe = self._probe(fetch, to_sql(shipped), run)
                 if hit is not None:
-                    obs.metrics.inc("fragcache.hit", site=fetch.site)
-                    rows = hit.materialize()
-                    outcome.result = ResultSet(list(hit.columns), rows)
-                    outcome.actual = FetchActual(
-                        rows=len(rows), cached=True
-                    )
-                    return outcome
-                obs.metrics.inc("fragcache.miss", site=fetch.site)
+                    return hit
+            gateway = self.gateways[fetch.site]
+            obs = run.obs
+            trace = run.trace
             branch_name = f"{fetch.site}:{fetch.binding}"
             wall_start = time.perf_counter()
             with obs.span(
@@ -713,13 +700,17 @@ class GlobalExecutor:
                 try:
                     with trace.branch(branch_name) as branch:
                         result = self._fetch_with_retry(
-                            fetch, shipped, trace, timeout, global_id,
-                            request_id=request_id,
+                            fetch,
+                            shipped,
+                            trace,
+                            run.timeout,
+                            run.global_id,
+                            request_id=run.request_id,
                         )
                 except (MessageDropped, CircuitOpenError):
-                    if not allow_partial:
+                    if not run.allow_partial:
                         raise
-                    missing.add(fetch.site)
+                    run.missing.add(fetch.site)
                     outcome.degraded = True
                     outcome.result = self._degraded_fragment(fetch, obs)
                     return outcome
@@ -735,20 +726,20 @@ class GlobalExecutor:
                 )
                 fetch_span.set_sim(actual.sim_s)
                 fetch_span.tag(rows=actual.rows, bytes=actual.bytes)
-            if use_cache:
+            if probe is not None:
                 # Degraded fragments never reach this store (they return
                 # above); a version moved by a concurrent commit between
-                # capture and arrival is rejected inside store().
+                # the probe and arrival is rejected inside store().
                 stored = self.fragment_cache.store(
                     fetch.site,
                     fetch.export,
-                    shipped_sql,
-                    version_before,
+                    probe.sql,
+                    probe.version,
                     gateway.data_version(fetch.export),
                     result.columns,
                     result.rows,
                     encoded=encoded,
-                    codec=cache_codec,
+                    codec=self._codec,
                 )
                 if stored and encoded is not None:
                     obs.metrics.inc(

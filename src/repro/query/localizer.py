@@ -26,7 +26,7 @@ from dataclasses import dataclass, field
 
 from repro.errors import FederationError
 from repro.gateway import Gateway
-from repro.sql import ast
+from repro.sql import ast, to_sql
 
 
 @dataclass
@@ -67,6 +67,22 @@ class Fetch:
     #: True when mid-query re-planning changed this fetch after execution
     #: started (its estimates were re-derived from measured actuals).
     replanned: bool = False
+    #: Memo of :meth:`shipped_sql`.
+    _sql: str | None = field(
+        default=None, init=False, repr=False, compare=False
+    )
+
+    def shipped_sql(self) -> str:
+        """Text of the SELECT shipped for a fetch without a semijoin.
+
+        Printed on first use and memoised: plans are shared read-only
+        through the plan cache, so the text is printed once per cached
+        plan, not once per execution.  A semijoin fetch binds a fresh key
+        list on every execution and has no fixed text.
+        """
+        if self._sql is None:
+            self._sql = to_sql(self.shipped_query())
+        return self._sql
 
     def shipped_query(self, in_list: list[object] | None = None) -> ast.Select:
         """The SELECT sent to the gateway (export-relation namespace)."""

@@ -16,6 +16,8 @@ each fetch is reduced at most once and dependencies stay acyclic.
 
 from __future__ import annotations
 
+from dataclasses import replace
+
 from repro.gateway import Gateway
 from repro.net import Network
 from repro.query.cost import CostModel
@@ -133,7 +135,7 @@ class CostBasedOptimizer:
         executed: dict[int, tuple[float, float]],
         key_count,
         stage: int = 0,
-    ) -> list[str]:
+    ) -> tuple[GlobalPlan, list[str]]:
         """Re-optimize the not-yet-executed fetches of a running plan.
 
         ``executed`` maps completed fetch indices to their measured
@@ -150,23 +152,22 @@ class CostBasedOptimizer:
           added (its keys are already at the federation site, so the
           serialisation penalty the planner charged no longer applies).
 
-        Mutates ``plan`` in place and returns one note per change (empty
-        list ⇒ the remaining plan stands).  Appended notes render in
-        EXPLAIN / EXPLAIN ANALYZE, and changed fetches are flagged
-        ``replanned``.
+        ``plan`` is never written to: it may be a shared plan-cache entry.
+        Returns ``(revised, notes)`` — ``plan`` itself and no notes when
+        the remaining plan stands, else a private copy whose changed
+        fetches are flagged ``replanned`` (with re-derived estimates) and
+        whose notes gain one line per change, rendered in EXPLAIN /
+        EXPLAIN ANALYZE.
         """
         notes: list[str] = []
-        changed: set[int] = set()
+        revised: dict[int, SemiJoinSpec | None] = {}
         for fetch in plan.fetches:
             if fetch.index in executed or fetch.whole_query is not None:
                 continue
-            if (
-                fetch.semijoin is not None
-                and fetch.semijoin.source_index in executed
-            ):
-                spec = fetch.semijoin
-                source = plan.fetches[spec.source_index]
-                keys = key_count(spec.source_index, spec.source_column)
+            semijoin = fetch.semijoin
+            if semijoin is not None and semijoin.source_index in executed:
+                source = plan.fetches[semijoin.source_index]
+                keys = key_count(semijoin.source_index, semijoin.source_column)
                 if keys is None:
                     # Degraded source: its (empty) key set already reduces
                     # the shipped query to nothing — leave the plan alone.
@@ -175,28 +176,27 @@ class CostBasedOptimizer:
                     source.site,
                     source.export,
                     source.predicate,
-                    spec.source_column,
+                    semijoin.source_column,
                     fetch.site,
                     fetch.export,
                     fetch.predicate,
                     fetch.columns,
-                    spec.target_column,
+                    semijoin.target_column,
                     shipped_keys_override=keys,
                     source_available=True,
                 )
                 if benefit <= 0:
-                    fetch.semijoin = None
-                    fetch.replanned = True
-                    changed.add(fetch.index)
+                    revised[fetch.index] = None
                     notes.append(
                         f"replan@stage{stage}: drop semijoin on fetch "
-                        f"#{fetch.index} (source #{spec.source_index} "
+                        f"#{fetch.index} (source #{semijoin.source_index} "
                         f"produced {keys} keys; revised benefit "
                         f"{benefit * 1000:.2f}ms)"
                     )
+                    semijoin = None
             if (
                 self.enable_semijoin
-                and fetch.semijoin is None
+                and semijoin is None
                 and not fetch.protected
             ):
                 addition = self._best_late_semijoin(
@@ -204,21 +204,29 @@ class CostBasedOptimizer:
                 )
                 if addition is not None:
                     benefit, spec, keys = addition
-                    fetch.semijoin = spec
-                    fetch.replanned = True
-                    changed.add(fetch.index)
+                    revised[fetch.index] = spec
                     notes.append(
                         f"replan@stage{stage}: add semijoin on fetch "
                         f"#{fetch.index} from materialised "
                         f"#{spec.source_index}.{spec.source_column} "
                         f"({keys} keys, est. benefit {benefit * 1000:.2f}ms)"
                     )
-        if changed:
-            from repro.query.cost import annotate_fetch_estimates
+        if not revised:
+            return plan, notes
+        plan = replace(
+            plan,
+            fetches=[
+                replace(fetch, semijoin=revised[fetch.index], replanned=True)
+                if fetch.index in revised
+                else fetch
+                for fetch in plan.fetches
+            ],
+            notes=plan.notes + notes,
+        )
+        from repro.query.cost import annotate_fetch_estimates
 
-            annotate_fetch_estimates(plan, self.cost_model, only=changed)
-            plan.notes.extend(notes)
-        return notes
+        annotate_fetch_estimates(plan, self.cost_model, only=set(revised))
+        return plan, notes
 
     def _best_late_semijoin(
         self,

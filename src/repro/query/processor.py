@@ -7,12 +7,10 @@ simple strategy and the full-fledged cost-based one.
 
 from __future__ import annotations
 
-import hashlib
-
 from repro.cache import FragmentCache, PlanCache
 from repro.errors import FederationError
 from repro.net import MessageTrace, Network
-from repro.obs import Observability, obs_of
+from repro.obs import MetricsRegistry, Observability, obs_of
 from repro.query.executor import GlobalExecutor, GlobalResult
 from repro.query.feedback import (
     RuntimeStatsStore,
@@ -31,6 +29,10 @@ def plan_digest(plan: GlobalPlan) -> str:
     Two queries with the same strategy, fetch shapes, and residual query
     share a digest, so a slow-query log groups by plan, not by literal SQL.
     """
+    # Imported here: hashlib loads OpenSSL (several MiB resident), and only
+    # the slow-query path needs it.
+    import hashlib
+
     return hashlib.sha256(plan.describe().encode()).hexdigest()[:12]
 
 
@@ -89,6 +91,12 @@ class GlobalQueryProcessor:
         }
         if default_optimizer not in self.optimizers:
             raise FederationError(f"unknown optimizer {default_optimizer!r}")
+        #: ``plancache.hit`` series per optimizer, keyed once: a plan-cache
+        #: hit is the per-request hot path.
+        self._plan_hit_keys = {
+            name: MetricsRegistry.key("plancache.hit", optimizer=chosen.name)
+            for name, chosen in self.optimizers.items()
+        }
         self.default_optimizer = default_optimizer
         #: Compiled-plan LRU; 0 disables it.
         self.plan_cache = (
@@ -178,9 +186,10 @@ class GlobalQueryProcessor:
             cache_key = self._plan_cache_key(sql, optimizer_key)
             cached = self.plan_cache.get(cache_key)
             if cached is not None:
-                obs.metrics.inc("plancache.hit", optimizer=chosen.name)
-                with obs.span("query.plan_cached", optimizer=chosen.name):
-                    return cached
+                # No span: a trace shows a hit as a query without a
+                # ``query.plan`` child.
+                obs.metrics.inc_key(self._plan_hit_keys[optimizer_key])
+                return cached
             obs.metrics.inc("plancache.miss", optimizer=chosen.name)
         query = self.parse(sql) if isinstance(sql, str) else sql
         with obs.span("query.expand", federation=self.federation.name):
@@ -260,20 +269,17 @@ class GlobalQueryProcessor:
             keep = None
             if result.degraded:
                 keep = "degraded"
-            elif any(
-                getattr(fetch, "replanned", False) for fetch in plan.fetches
-            ):
+            elif result.plan is not plan:
+                # A mid-query re-plan ran a revised private copy.
                 keep = "replanned"
             elif slow:
                 keep = "slow"
             if keep is not None:
                 span.tag(sample_keep=keep)
+        # Report and learn from the plan that actually ran.
+        plan = result.plan
         if self.runtime_stats is not None:
             self._record_actuals(plan, result, request_id)
-        metrics = obs.metrics
-        metrics.inc("query.executed", strategy=plan.strategy)
-        metrics.inc("query.rows_fetched", result.fetched_rows)
-        metrics.observe("query.sim_elapsed_s", sim_elapsed)
         obs.record_request(
             not result.degraded, sim_elapsed, federation=self.federation.name
         )

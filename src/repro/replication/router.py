@@ -291,9 +291,6 @@ class ReplicatedGateway:
     def export_stats(self, name: str, refresh: bool = False):
         return self._leader_gateway().export_stats(name, refresh)
 
-    def invalidate_stats(self) -> None:
-        self._leader_gateway().invalidate_stats()
-
     def data_version(self, export_name: str) -> tuple[int, int, int]:
         return self._leader_gateway().data_version(export_name)
 

@@ -671,9 +671,7 @@ class GlobalTransactionManager:
         relation = federation.get_relation(table)
         source = resolve_updatable(relation)
         rewritten = rewrite_dml(statement, relation.name, source)
-        result = self.execute(txn, source.site, rewritten, timeout)
-        self.gateways[source.site].invalidate_stats()
-        return result
+        return self.execute(txn, source.site, rewritten, timeout)
 
     # ------------------------------------------------------------------
     # Coordinator-driven recovery

@@ -260,6 +260,38 @@ class TestMidQueryReplan:
         assert system.metrics.counter_total("query.replans") == 1
         assert len(result.rows) == 600
 
+    def test_replan_leaves_cached_plan_untouched(self):
+        with build_skewed_join(
+            adaptive_replan=True
+        ) as system, build_skewed_join(adaptive_replan=True) as twin:
+            processor = system.processor("fed")
+            cached = processor.plan(JOIN)
+            for _ in range(2):
+                result = system.query("fed", JOIN)
+                assert "(replanned)" in result.explain_analyze()
+                assert result.plan is not cached
+            assert processor.plan(JOIN) is cached
+            assert system.metrics.counter_total("plancache.hit") == 3
+            assert system.metrics.counter_total("query.replans") == 2
+            fresh = twin.processor("fed").plan(JOIN)
+
+        def fetch_fields(plan):
+            return [
+                (
+                    fetch.est_rows,
+                    fetch.est_bytes,
+                    fetch.est_cost_s,
+                    fetch.semijoin,
+                    fetch.replanned,
+                )
+                for fetch in plan.fetches
+            ]
+
+        assert cached.describe() == fresh.describe()
+        assert fetch_fields(cached) == fetch_fields(fresh)
+        assert any(f.semijoin is not None for f in cached.fetches)
+        assert not any(f.replanned for f in cached.fetches)
+
     def test_replan_event_carries_trigger(self):
         with build_skewed_join(adaptive_replan=True) as system:
             system.query("fed", JOIN)
@@ -302,16 +334,21 @@ class TestMidQueryReplan:
             rhs = next(f for f in plan.fetches if f.export == "right_rel")
             assert rhs.semijoin is None  # not worth it per stale stats
             optimizer = processor.optimizers["cost"]
-            notes = optimizer.replan(
+            revised, notes = optimizer.replan(
                 plan,
                 executed={lhs.index: (3.0, 100.0)},
                 key_count=lambda index, column: 3,
                 stage=0,
             )
         assert len(notes) == 1 and "add semijoin" in notes[0]
-        assert rhs.semijoin is not None
-        assert rhs.semijoin.source_index == lhs.index
-        assert rhs.replanned
+        grafted = revised.fetches[rhs.index]
+        assert grafted.semijoin is not None
+        assert grafted.semijoin.source_index == lhs.index
+        assert grafted.replanned
+        # The revision is a private copy: the (cached) plan is untouched.
+        assert revised is not plan
+        assert rhs.semijoin is None and not rhs.replanned
+        assert not any("replan@" in note for note in plan.notes)
 
 
 class TestKnobsOff:

@@ -8,11 +8,17 @@ The invalidation contract under test:
 - degraded (``allow_partial``) fragments are never cached
 - reads inside a global transaction bypass the fragment cache entirely
 - redefining an integrated relation or an export flushes compiled plans
+- statistics (and so compiled plans) expire only when a write commits
+- cached plans are shared, read-only objects; fragment-cache hits are
+  served on the calling thread, and every fetch probes the cache once
 """
+
+import copy
+import threading
 
 import pytest
 
-from repro.cache import FragmentCache, LRUCache, PlanCache, fragment_digest
+from repro.cache import FragmentCache, LRUCache, PlanCache
 from repro.myriad import MyriadSystem
 from repro.workloads import build_bank_sites
 
@@ -28,6 +34,19 @@ BALANCES = "SELECT acct, balance FROM accounts"
 
 def _hits(system):
     return system.metrics.counter_total("fragcache.hit")
+
+
+def _autocommit_write(system, site):
+    """Commit a write to every row of ``site``, outside any transaction."""
+    system.gateway(site).execute_update(
+        "UPDATE account SET balance = balance + 1", None
+    )
+
+
+def _stats_versions(system):
+    return {
+        site: system.gateway(site).stats_version for site in ("b0", "b1", "b2")
+    }
 
 
 class TestFragmentCacheHits:
@@ -135,6 +154,152 @@ class TestFragmentCacheInvalidation:
         assert bank.metrics.counter("fragcache.hit", site="b1") == 1
 
 
+class TestInlineCacheHits:
+    """Hits are served on the calling thread; only misses are shipped."""
+
+    def test_fully_cached_query_submits_nothing_to_the_pool(
+        self, bank, monkeypatch
+    ):
+        bank.query("bank", BALANCES)
+        executor = bank.processor("bank").executor
+        pool_requests = []
+        ensure_pool = executor._ensure_pool
+        monkeypatch.setattr(
+            executor,
+            "_ensure_pool",
+            lambda: pool_requests.append(1) or ensure_pool(),
+        )
+        cached = bank.query("bank", BALANCES)
+        assert pool_requests == []
+        assert all(actual.cached for actual in cached.fetch_actuals.values())
+        # Misses on two sites still go to the pool, together.
+        _autocommit_write(bank, "b0")
+        _autocommit_write(bank, "b1")
+        bank.query("bank", BALANCES)
+        assert pool_requests == [1]
+
+    def test_each_fetch_probes_the_cache_once(self, bank):
+        fetches = 0
+        for sql in (
+            BALANCES,
+            BALANCES,
+            "SELECT acct FROM accounts WHERE balance > 0",
+            BALANCES,
+        ):
+            fetches += len(bank.query("bank", sql).plan.fetches)
+        _autocommit_write(bank, "b1")
+        fetches += len(bank.query("bank", BALANCES).plan.fetches)
+        stats = bank.processor("bank").fragment_cache.stats
+        assert stats["hits"] + stats["misses"] == fetches == 15
+        assert stats["stale_drops"] == 1
+
+    def test_fetch_spans_only_for_misses(self, bank):
+        bank.query("bank", BALANCES)
+        _autocommit_write(bank, "b0")
+        bank.query("bank", BALANCES)
+        root = bank.tracer.find("query.execute")[-1]
+        spans = root.find("execute.fetch")
+        assert [span.tags["site"] for span in spans] == ["b0"]
+
+    def test_explain_analyze_marks_only_hits_cached(self, bank):
+        bank.query("bank", BALANCES)
+        _autocommit_write(bank, "b0")
+        result = bank.query("bank", BALANCES)
+        actual_lines = [
+            line.strip()
+            for line in result.explain_analyze().splitlines()
+            if line.strip().startswith("actual:")
+        ]
+        assert len(actual_lines) == 3
+        assert sum(line.endswith(" cached") for line in actual_lines) == 2
+        by_site = {
+            fetch.site: result.fetch_actuals[fetch.index]
+            for fetch in result.plan.fetches
+        }
+        assert not by_site["b0"].cached and by_site["b0"].messages > 0
+        assert by_site["b1"].cached and by_site["b2"].cached
+
+    @pytest.mark.parametrize("stale", [("b0",), ("b0", "b2")])
+    def test_misses_match_sequential_accounting(self, stale):
+        runs = []
+        for parallel_fetches in (1, 4):
+            with build_bank_sites(
+                3, 4, parallel_fetches=parallel_fetches
+            ) as system:
+                system.query("bank", BALANCES)
+                for site in stale:
+                    _autocommit_write(system, site)
+                result = system.query("bank", BALANCES)
+            actuals = sorted(
+                (index, a.rows, a.bytes, a.messages, a.sim_s, a.cached)
+                for index, a in result.fetch_actuals.items()
+            )
+            runs.append(
+                (
+                    result.elapsed_s,
+                    result.bytes_shipped,
+                    result.trace.message_count,
+                    result.fetched_rows,
+                    sorted(result.rows),
+                    actuals,
+                )
+            )
+        assert runs[0] == runs[1]
+        assert sum(not actual[-1] for actual in runs[0][-1]) == len(stale)
+
+
+class TestStatsVersionMovesOnCommitOnly:
+    """Only a resolved write expires plans, as for fragment versions."""
+
+    def test_abort_moves_nothing_and_the_plan_still_hits(self, bank):
+        bank.query("bank", BALANCES)
+        before = _stats_versions(bank)
+        txn = bank.begin_transaction()
+        txn.execute("b0", "UPDATE account SET balance = 0 WHERE acct = 0")
+        assert _stats_versions(bank) == before  # open branch: nothing yet
+        txn.abort()
+        assert _stats_versions(bank) == before
+        bank.query("bank", BALANCES)
+        assert bank.metrics.counter_total("plancache.hit") == 1
+        assert bank.metrics.counter_total("plancache.miss") == 1
+
+    def test_commit_bumps_once_per_written_site(self, bank):
+        before = _stats_versions(bank)
+        txn = bank.begin_transaction()
+        txn.execute("b0", "UPDATE account SET balance = 1 WHERE acct = 0")
+        txn.execute("b0", "UPDATE account SET balance = 2 WHERE acct = 1")
+        txn.execute("b1", "UPDATE account SET balance = 3 WHERE acct = 4")
+        assert _stats_versions(bank) == before
+        txn.commit()
+        after = _stats_versions(bank)
+        assert {site: after[site] - before[site] for site in after} == {
+            "b0": 1,
+            "b1": 1,
+            "b2": 0,
+        }
+
+    def test_federated_dml_commit_bumps_once(self, bank):
+        bank.federation("bank").define_relation(
+            "accounts_b0", "SELECT acct, balance FROM b0.account"
+        )
+        before = _stats_versions(bank)
+        with bank.create_server().connect() as session:
+            session.execute("bank", "BEGIN")
+            session.execute(
+                "bank", "UPDATE accounts_b0 SET balance = 5 WHERE acct = 0"
+            )
+            assert _stats_versions(bank) == before
+            session.execute("bank", "COMMIT")
+        assert _stats_versions(bank)["b0"] == before["b0"] + 1
+
+    def test_autocommit_dml_bumps_once(self, bank):
+        before = _stats_versions(bank)
+        _autocommit_write(bank, "b2")
+        after = _stats_versions(bank)
+        assert after["b2"] == before["b2"] + 1
+        assert after["b0"] == before["b0"] and after["b1"] == before["b1"]
+
+
 class TestPlanCache:
     def test_hit_and_miss_metrics(self, bank):
         metrics = bank.metrics
@@ -151,12 +316,44 @@ class TestPlanCache:
         assert plan_a is not plan_b
         assert bank.metrics.counter_total("plancache.miss") == 2
 
-    def test_cached_plan_is_a_copy(self, bank):
+    def test_hits_share_one_plan(self, bank):
         processor = bank.processor("bank")
         first = processor.plan(BALANCES)
-        second = processor.plan(BALANCES)
-        assert first is not second
-        assert first.describe() == second.describe()
+        assert processor.plan(BALANCES) is first
+        assert processor.plan(BALANCES) is first
+        assert bank.metrics.counter_total("plancache.hit") == 2
+
+    def test_thread_storm_leaves_shared_plan_unchanged(self, bank):
+        sql = (
+            "SELECT acct, balance FROM accounts WHERE balance > 0 "
+            "ORDER BY acct"
+        )
+        processor = bank.processor("bank")
+        plan = processor.plan(sql)
+        snapshot = copy.deepcopy(plan)
+        expected = bank.query("bank", sql).rows
+        start = threading.Barrier(6)
+        answers: list[list] = [[] for _ in range(6)]
+
+        def client(index: int) -> None:
+            start.wait()
+            for _ in range(20):
+                result = bank.query("bank", sql)
+                result.explain_analyze()
+                answers[index].append(result.rows)
+
+        threads = [
+            threading.Thread(target=client, args=(i,)) for i in range(6)
+        ]
+        for thread in threads:
+            thread.start()
+        for thread in threads:
+            thread.join()
+        assert all(rows == expected for got in answers for rows in got)
+        assert sum(map(len, answers)) == 120
+        assert processor.plan(sql) is plan
+        assert plan == snapshot
+        assert plan.describe() == snapshot.describe()
 
     def test_schema_redefinition_flushes(self, bank):
         bank.query("bank", BALANCES)
@@ -255,8 +452,13 @@ class TestCachePrimitives:
         assert cache.stats["stale_drops"] == 1
         assert len(cache) == 0
 
-    def test_digest_differs_by_sql(self):
-        assert fragment_digest("SELECT 1") != fragment_digest("SELECT 2")
+    def test_key_differs_by_sql_and_codec(self):
+        key = FragmentCache.key
+        assert key("s", "e", "SELECT 1") != key("s", "e", "SELECT 2")
+        assert key("s", "e", "SELECT 1") != key(
+            "s", "e", "SELECT 1", "dictrle"
+        )
+        assert key("s", "E", "SELECT 1") == key("s", "e", "SELECT 1")
 
     def test_plan_cache_bounded(self):
         cache = PlanCache(capacity=2)

@@ -351,6 +351,25 @@ class TestSystemObservability:
         assert len(delivers) == 2
         assert commit.sim_s is not None and commit.sim_s > 0
 
+    def test_transactional_reads_count_as_executed_queries(self):
+        with build_bank_sites(2, 3) as system:
+            txn = system.begin_transaction()
+            result = system.transactional_query(
+                txn, "bank", "SELECT acct, balance FROM accounts"
+            )
+            txn.commit()
+            metrics = system.metrics
+            assert metrics.counter("query.executed", strategy="cost") == 1
+            assert metrics.counter("query.rows_fetched") == len(result.rows)
+            summary = metrics.histogram_summary("query.sim_elapsed_s")
+            assert summary["count"] == 1
+            # Execution only: the branch openings before it are not in it.
+            assert 0 < summary["max"] < result.elapsed_s
+            # The request window counts it once, through its latency.
+            assert system.obs.window.count(
+                "query.latency_s", federation="bank"
+            ) == 1
+
     def test_disabled_observability_records_nothing(self):
         system = build_two_site_join(20, 20, query_timeout=None)
         system.obs.enabled = False
