@@ -15,8 +15,16 @@ SELECTIVITIES = [0.01, 0.1, 0.5, 1.0]
 SIZES = [200, 1000, 3000]
 
 
+def _build(size: int, seed: int):
+    # Every query must reach the gateways: a fragment cached by one
+    # optimizer's run would let the other's same fetch ship 0 bytes.
+    return build_two_site_join(
+        size, size, match_fraction=0.5, seed=seed, fragment_cache=False
+    )
+
+
 def test_e2_selectivity_sweep(benchmark):
-    system = build_two_site_join(2000, 2000, match_fraction=0.5, seed=21)
+    system = _build(2000, seed=21)
     rows = []
     for selectivity in SELECTIVITIES:
         sql = f"SELECT k, pad FROM lhs WHERE flt < {selectivity}"
@@ -54,7 +62,7 @@ def test_e2_selectivity_sweep(benchmark):
 def test_e2_size_sweep(benchmark):
     rows = []
     for size in SIZES:
-        system = build_two_site_join(size, size, match_fraction=0.5, seed=22)
+        system = _build(size, seed=22)
         sql = "SELECT k, pad FROM lhs WHERE flt < 0.05"
         simple = system.query("synth", sql, optimizer="simple")
         cost = system.query("synth", sql, optimizer="cost")
@@ -79,7 +87,7 @@ def test_e2_size_sweep(benchmark):
     savings = [row[1] - row[2] for row in rows]
     assert savings == sorted(savings)
 
-    small = build_two_site_join(200, 200, match_fraction=0.5, seed=22)
+    small = _build(200, seed=22)
     benchmark(
         lambda: small.query(
             "synth", "SELECT k, pad FROM lhs WHERE flt < 0.05", optimizer="cost"
@@ -89,7 +97,7 @@ def test_e2_size_sweep(benchmark):
 
 def test_e2_estimates_track_measurements(benchmark):
     """The cost model's estimate and the measured virtual time correlate."""
-    system = build_two_site_join(1500, 1500, match_fraction=0.5, seed=23)
+    system = _build(1500, seed=23)
     processor = system.processor("synth")
     benchmark.pedantic(
         lambda: processor.plan("SELECT k FROM lhs WHERE flt < 0.1", "cost"),

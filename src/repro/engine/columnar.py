@@ -28,7 +28,6 @@ so a single opaque predicate never forces the whole plan back to rows.
 from __future__ import annotations
 
 import operator
-from decimal import Decimal
 
 from repro.engine import operators as ops
 from repro.engine.expressions import (
@@ -40,6 +39,7 @@ from repro.engine.expressions import (
     Scope,
     as_bool,
     compare_values,
+    literal_in_probe,
     membership,
 )
 from repro.errors import ExecutionError
@@ -326,35 +326,17 @@ def _compile_in_list(expr, scope):
         raise _CannotCompile
     operand = _compile(expr.operand, scope)
     candidates = [item.value for item in expr.items]
-    saw_null = any(c is None for c in candidates)
-    negated = expr.negated
-    numeric_set = None
-    if all(
-        isinstance(c, (int, float)) and not isinstance(c, bool)
-        for c in candidates
-    ):
-        # Semijoin IN lists are numeric literals: O(1) set probe instead of
-        # the row engine's linear scan, with the same coercion semantics
-        # (1, 1.0 and Decimal(1) all match).
-        numeric_set = {float(c) for c in candidates}
+    probe = literal_in_probe(expr.items) or (
+        lambda value: membership(value, candidates)
+    )
+    if expr.negated:
+        def run_not_in(cols, n, sel, ctx):
+            return [tv_not(probe(v)) for v in operand(cols, n, sel, ctx)]
+
+        return run_not_in
 
     def run(cols, n, sel, ctx):
-        out = []
-        append = out.append
-        for value in operand(cols, n, sel, ctx):
-            if value is None:
-                verdict = None
-            elif numeric_set is not None and isinstance(
-                value, (int, float, Decimal)
-            ):
-                if float(value) in numeric_set:
-                    verdict = True
-                else:
-                    verdict = None if saw_null else False
-            else:
-                verdict = membership(value, candidates)
-            append(tv_not(verdict) if negated else verdict)
-        return out
+        return [probe(v) for v in operand(cols, n, sel, ctx)]
 
     return run
 

@@ -100,6 +100,8 @@ class EvalEnv:
 #: name a real column — they evaluate to the environment clock instead.
 _NOW_COLUMN = ("now",)
 
+_MISSING = object()
+
 
 class ExpressionEvaluator:
     """Evaluates AST expressions against rows laid out by a :class:`Scope`.
@@ -114,6 +116,9 @@ class ExpressionEvaluator:
         self.scope = scope
         self.env = env or EvalEnv()
         self._column_cache: dict[tuple[str | None, str], tuple] = {}
+        #: ``id(InList node)`` → its :func:`literal_in_probe` (or None),
+        #: built on the node's first evaluation.
+        self._in_probes: dict[int, Callable | None] = {}
 
     def __call__(
         self, expr: ast.Expression, row: tuple, outer: tuple[tuple, ...] = ()
@@ -208,9 +213,16 @@ class ExpressionEvaluator:
 
     def _eval_in_list(self, expr: ast.InList, row, outer) -> object:
         value = self.eval(expr.operand, row, outer)
-        result = self._membership(
-            value, (self.eval(item, row, outer) for item in expr.items)
-        )
+        key = id(expr)
+        probe = self._in_probes.get(key, _MISSING)
+        if probe is _MISSING:
+            probe = self._in_probes[key] = literal_in_probe(expr.items)
+        if probe is not None:
+            result = probe(value)
+        else:
+            result = self._membership(
+                value, (self.eval(item, row, outer) for item in expr.items)
+            )
         return tv_not(result) if expr.negated else result
 
     def _membership(self, value: object, candidates) -> bool | None:
@@ -401,6 +413,44 @@ def membership(value: object, candidates) -> bool | None:
         if value is not None and _compare_values(value, candidate) == 0:
             return True
     return None if saw_null else False
+
+
+def literal_in_probe(
+    items: list[ast.Expression],
+) -> Callable[[object], bool | None] | None:
+    """A hash probe with :func:`membership` semantics for a numeric IN list.
+
+    Returns None unless every item is an int/float literal (or NULL) — the
+    shape of a semijoin key list.  The probe hashes ``int`` and ``float``
+    values directly (Python compares them exactly, as ``compare_values``
+    does) and a ``Decimal`` as its float, the coercion ``compare_values``
+    applies, so ``1``, ``1.0`` and ``Decimal(1)`` all match.  A NULL item
+    turns a miss into NULL.  Anything else — NULL, ``bool``, strings,
+    dates, and NaN (which ``compare_values`` equates with every number) —
+    goes through :func:`membership` itself.
+    """
+    if not all(isinstance(item, ast.Literal) for item in items):
+        return None
+    candidates = [item.value for item in items]
+    numbers = [c for c in candidates if c is not None]
+    if not all(type(c) in (int, float) and c == c for c in numbers):
+        return None
+    keys = frozenset(numbers)
+    miss = None if len(numbers) < len(candidates) else False
+
+    def probe(value: object) -> bool | None:
+        kind = type(value)
+        if value is None:
+            return None
+        if kind is Decimal:
+            value = float(value)
+        elif kind is not int and kind is not float:
+            return membership(value, candidates)
+        if value in keys:
+            return True
+        return miss if value == value else membership(value, candidates)
+
+    return probe
 
 
 _LIKE_CACHE: dict[str, re.Pattern] = {}

@@ -4,7 +4,8 @@ Translates a parsed query into a tree of physical operators from
 :mod:`repro.engine.operators`.  The planner applies the classic heuristics a
 1990s local optimizer would:
 
-- selection pushdown to the lowest operator that can evaluate it
+- selection pushdown to the lowest operator that can evaluate it, including
+  through projection-only derived tables (the gateway's export views)
 - index selection for constant equality/range predicates
 - hash joins for equi-join conjuncts, greedy join ordering for implicit
   (comma-separated) joins, nested loops as the fallback
@@ -18,13 +19,19 @@ runtime.
 
 from __future__ import annotations
 
+import dataclasses
+import datetime
+from collections.abc import Mapping
 from dataclasses import dataclass
+from decimal import Decimal
 
 from repro.errors import CatalogError, ExecutionError
 from repro.engine import operators as ops
 from repro.engine.expressions import OutputColumn, Scope
 from repro.sql import ast
 from repro.storage.catalog import Catalog
+from repro.storage.index import OrderedIndex
+from repro.storage.types import DataType, TypeKind
 
 
 class _RecordingScope(Scope):
@@ -222,12 +229,60 @@ class LocalPlanner:
         if isinstance(ref, ast.TableName):
             return self._plan_base_table(ref, available, outer)
         if isinstance(ref, ast.SubqueryRef):
-            child = self.plan_query(ref.query, outer)
+            query = self._push_into_view(ref, available, outer)
+            child = self.plan_query(query, outer)
             op = ops.Rename(child, ref.alias)
             return _Relation(op, frozenset({ref.alias.lower()}))
         if isinstance(ref, ast.Join):
             return self._plan_explicit_join(ref, available, outer)
         raise ExecutionError(f"unsupported FROM item {type(ref).__name__}")
+
+    def _push_into_view(
+        self,
+        ref: ast.SubqueryRef,
+        available: list[ast.Expression],
+        outer: Scope | None,
+    ) -> ast.Query:
+        """Merge outer conjuncts into a projection-only derived table.
+
+        A gateway ships every export as ``(SELECT t.a AS x, ... FROM t
+        WHERE <export predicate>) AS e``.  Conjuncts over ``e`` alone are
+        rewritten onto the view's own columns and ANDed with its WHERE, so
+        ``_choose_access_path`` sees them and can use the local index.
+        Only plain column projections qualify: anything that changes row
+        multiplicity or order (DISTINCT, GROUP BY, HAVING, ORDER BY,
+        LIMIT/OFFSET) or computes values keeps the conjuncts above it.
+        """
+        view = ref.query
+        if (
+            not available
+            or not isinstance(view, ast.Select)
+            or view.distinct
+            or view.group_by
+            or view.having is not None
+            or view.order_by
+            or view.limit is not None
+            or view.offset is not None
+            or not all(isinstance(i.expression, ast.ColumnRef) for i in view.items)
+        ):
+            return view
+        scope = Scope(
+            [OutputColumn(item.output_name, ref.alias) for item in view.items],
+            outer,
+        )
+        pushed, available[:] = self._split_local(available, scope)
+        if not pushed:
+            return view
+
+        def to_view_column(node: ast.Expression) -> ast.Expression:
+            if isinstance(node, ast.ColumnRef):
+                return view.items[scope.resolve(node.table, node.name)[1]].expression
+            return node
+
+        where = [ast.transform_expression(c, to_view_column) for c in pushed]
+        if view.where is not None:
+            where.insert(0, view.where)
+        return dataclasses.replace(view, where=ast.conjoin(where))
 
     def _plan_base_table(
         self,
@@ -252,46 +307,33 @@ class LocalPlanner:
     def _choose_access_path(
         self, table, binding: str, local: list[ast.Expression]
     ) -> ops.Operator:
-        """Pick IndexScan when a constant predicate matches an index.
+        """Pick IndexScan when :func:`choose_index_probe` finds a conjunct.
 
         Consumes the predicate it absorbs from ``local``.
         """
-        for position, conjunct in enumerate(local):
-            match = _constant_comparison(conjunct)
-            if match is None:
-                continue
-            column, op_name, value = match
-            if not table.schema.has_column(column):
-                continue
-            index = table.find_index([column])
-            if index is None:
-                continue
-            if op_name == "=":
-                local.pop(position)
-                return ops.IndexScan(
-                    table, index.name, binding, equal_key=(value,)
-                )
-            from repro.storage.index import OrderedIndex
-
-            if not isinstance(index, OrderedIndex):
-                continue
-            local.pop(position)
-            if op_name in ("<", "<="):
-                return ops.IndexScan(
-                    table,
-                    index.name,
-                    binding,
-                    high=(value,),
-                    high_inclusive=(op_name == "<="),
-                )
+        probe = choose_index_probe(local, indexed_columns(table))
+        if probe is None:
+            return ops.SeqScan(table, binding)
+        position, column, op_name, value = probe
+        local.pop(position)
+        index = table.find_index([column])
+        if op_name == "=":
+            return ops.IndexScan(table, index.name, binding, equal_key=(value,))
+        if op_name in ("<", "<="):
             return ops.IndexScan(
                 table,
                 index.name,
                 binding,
-                low=(value,),
-                low_inclusive=(op_name == ">="),
+                high=(value,),
+                high_inclusive=(op_name == "<="),
             )
-        return ops.SeqScan(table, binding)
+        return ops.IndexScan(
+            table,
+            index.name,
+            binding,
+            low=(value,),
+            low_inclusive=(op_name == ">="),
+        )
 
     def _plan_explicit_join(
         self,
@@ -675,6 +717,75 @@ def _resolves_locally(expr: ast.Expression, scope: Scope) -> bool:
         if isinstance(node, ast.Star):
             return False
     return True
+
+
+@dataclass(frozen=True)
+class IndexedColumn:
+    """What the access-path choice knows of a column an index covers."""
+
+    datatype: DataType
+    #: The index answers range scans, not only equality probes.
+    ordered: bool
+
+
+def indexed_columns(table) -> dict[str, IndexedColumn]:
+    """Lower-cased name -> facts, for each column a single-column index covers."""
+    return {
+        column.name.lower(): IndexedColumn(
+            column.datatype, isinstance(index, OrderedIndex)
+        )
+        for column in table.schema.columns
+        if (index := table.find_index([column.name])) is not None
+    }
+
+
+#: Literal types an index looks up by Python ``==`` and ``<`` with the same
+#: outcome as SQL comparison (``compare_values``), per declared column type.
+_PROBE_TYPES: dict[TypeKind, tuple[type, ...]] = {
+    TypeKind.INTEGER: (int, float),
+    TypeKind.FLOAT: (int, float),
+    TypeKind.DECIMAL: (int, Decimal),
+    TypeKind.VARCHAR: (str,),
+    TypeKind.BOOLEAN: (bool,),
+    TypeKind.DATE: (datetime.date,),
+    TypeKind.TIMESTAMP: (datetime.datetime,),
+}
+
+
+def _probe_matches(datatype: DataType, value: object) -> bool:
+    if isinstance(value, bool) != (datatype.kind is TypeKind.BOOLEAN):
+        return False
+    if isinstance(value, datetime.datetime) and datatype.kind is TypeKind.DATE:
+        return False
+    return isinstance(value, _PROBE_TYPES.get(datatype.kind, ()))
+
+
+def choose_index_probe(
+    conjuncts: list[ast.Expression], indexed: Mapping[str, IndexedColumn]
+) -> tuple[int, str, str, object] | None:
+    """The ``col <op> literal`` conjunct an index answers, if any.
+
+    Returns (position in ``conjuncts``, column, op, literal).  An equality
+    wins over a range wherever the two appear; a range needs an ordered
+    index.  A literal of another type than the column's (``acct = '57'``
+    on an INTEGER key) stays in the filter: SQL comparison coerces it, an
+    index key lookup would not.  The component planner and the federation
+    cost model both call this, so they agree on which fetch is a probe.
+    """
+    best = None
+    for position, conjunct in enumerate(conjuncts):
+        match = _constant_comparison(conjunct)
+        if match is None:
+            continue
+        column, op_name, value = match
+        entry = indexed.get(column.lower())
+        if entry is None or not _probe_matches(entry.datatype, value):
+            continue
+        if op_name == "=":
+            return position, column, op_name, value
+        if best is None and entry.ordered:
+            best = position, column, op_name, value
+    return best
 
 
 def _constant_comparison(

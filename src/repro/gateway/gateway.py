@@ -21,6 +21,7 @@ import threading
 from decimal import Decimal
 
 from repro.engine import ResultSet
+from repro.engine.planner import IndexedColumn, indexed_columns
 from repro.errors import (
     CircuitOpenError,
     GatewayError,
@@ -187,6 +188,21 @@ class Gateway:
                     self.stats_version += 1
             return stats
 
+    def export_index_columns(self, name: str) -> dict[str, IndexedColumn]:
+        """Index facts of an export's columns, keyed by lower-cased export name.
+
+        Read from the live local catalog, so an index created after the
+        statistics were cached is seen: the cost model uses this to know
+        which fetches the component answers with an index probe.
+        """
+        relation = self.exports.get(name)
+        local = indexed_columns(self.dbms.catalog.get_table(relation.local_table))
+        return {
+            export.lower(): local[column.lower()]
+            for export, column in relation.columns.items()
+            if column.lower() in local
+        }
+
     # ------------------------------------------------------------------
     # Fragment-cache versioning
     # ------------------------------------------------------------------
@@ -279,9 +295,8 @@ class Gateway:
             )
             session = self._session_for(global_id)
             result = self._run_local(session, sql_text, timeout)
-            compute_cost = (
-                self.dbms.engine.last_report.rows_scanned * LOCAL_ROW_COST_S
-            )
+            rows_scanned = self.dbms.engine.last_report.rows_scanned
+            compute_cost = rows_scanned * LOCAL_ROW_COST_S
             if trace is not None:
                 trace.add_compute(compute_cost)
             rows = _normalize_rows(result.rows)
@@ -327,6 +342,9 @@ class Gateway:
         obs.window.inc("site.requests", site=self.site)
         obs.window.observe("site.latency_s", sim_latency, site=self.site)
         shipped = ResultSet(result.columns, rows)
+        # The executor reports the component's scan work per fetch in
+        # EXPLAIN ANALYZE: the access path it took, seen from outside.
+        shipped.scanned = rows_scanned
         if encoded is not None:
             # The executor reads this for per-fetch raw-vs-wire actuals
             # and stores the encoded payload in the fragment cache.

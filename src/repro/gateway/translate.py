@@ -3,7 +3,10 @@
 The federation layer composes SQL over *export* relation names.  A gateway
 rewrites each export reference into the equivalent derived table over the
 local schema (projection + renaming + row predicate), then renders the whole
-statement in the component DBMS's dialect.
+statement in the component DBMS's dialect.  The fragment's own predicates
+stay outside the derived table here, so the shipped text is a plain rewrite;
+the component's planner pushes them through the projection-only view onto
+its local indexes (``LocalPlanner._push_into_view``).
 """
 
 from __future__ import annotations

@@ -36,6 +36,10 @@ class FetchActual:
     #: Column-encoding summary of the shipped fragment (e.g. ``"dict,rle"``)
     #: when wire compression encoded it; None otherwise.
     codec: str | None = None
+    #: Rows the component engine scanned to answer this fetch (its access
+    #: path seen from outside: an index probe scans what it returns, a
+    #: bypassed index scans the whole table); None for cache hits.
+    scanned: int | None = None
 
 
 def _fmt_est(value: float | None, unit: str = "") -> str:
@@ -106,8 +110,11 @@ def render_explain_analyze(result) -> str:
             saved = 100.0 * (1 - actual.bytes / actual.raw_bytes)
             codec = f" codec={actual.codec}" if actual.codec else ""
             wire = f" raw={actual.raw_bytes} (-{saved:.0f}%{codec})"
+        scanned = (
+            f" scanned={actual.scanned}" if actual.scanned is not None else ""
+        )
         lines.append(
-            f"    actual: rows={actual.rows} bytes={actual.bytes}{wire} "
+            f"    actual: rows={actual.rows}{scanned} bytes={actual.bytes}{wire} "
             f"time={actual.sim_s * 1000:.3f}ms "
             f"(msgs={actual.messages}, wall={actual.wall_s * 1000:.3f}ms)"
             f"{cached}"

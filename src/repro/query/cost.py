@@ -15,9 +15,11 @@ estimates, weighted by how many observations back them.
 
 from __future__ import annotations
 
+from collections.abc import Mapping
 from dataclasses import dataclass
 from typing import TYPE_CHECKING
 
+from repro.engine.planner import IndexedColumn, choose_index_probe
 from repro.gateway import LOCAL_ROW_COST_S, Gateway
 from repro.net import Network
 from repro.sql import ast
@@ -266,7 +268,8 @@ class CostModel:
         if estimate is None:
             estimate = self.estimate_fragment(site, export, columns, predicate)
         request = self.transfer_cost(site, 100.0 + extra_request_bytes)
-        local_work = stats.row_count * LOCAL_ROW_COST_S
+        indexed = self.gateways[site].export_index_columns(export)
+        local_work = _rows_scanned(stats, predicate, indexed) * LOCAL_ROW_COST_S
         reply = self.transfer_cost(site, estimate.total_bytes)
         return request + local_work + reply
 
@@ -400,6 +403,29 @@ def annotate_fetch_estimates(plan, cost_model: CostModel, only=None) -> None:
             fetch.predicate,
             estimate=estimate,
         )
+
+
+def _rows_scanned(
+    stats: TableStats,
+    predicate: ast.Expression | None,
+    indexed: Mapping[str, IndexedColumn],
+) -> float:
+    """Rows the component scans to answer a fetch of this export.
+
+    The component planner pushes the fetch predicate through the export
+    view and picks its access path with :func:`choose_index_probe`; an
+    equality probe scans only its matches, anything else a full table.
+    """
+    probe = choose_index_probe(ast.split_conjuncts(predicate), indexed)
+    if probe is None or probe[2] != "=":
+        return float(stats.row_count)
+    column_stats = stats.column(probe[1])
+    selectivity = (
+        column_stats.eq_selectivity(stats.row_count)
+        if column_stats is not None
+        else DEFAULT_EQ_SELECTIVITY
+    )
+    return stats.row_count * selectivity
 
 
 def _comparison_parts(

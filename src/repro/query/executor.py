@@ -723,6 +723,7 @@ class GlobalExecutor:
                     wall_s=time.perf_counter() - wall_start,
                     raw_bytes=branch.raw_payload_bytes,
                     codec=encoded.codec if encoded is not None else None,
+                    scanned=getattr(result, "scanned", None),
                 )
                 fetch_span.set_sim(actual.sim_s)
                 fetch_span.tag(rows=actual.rows, bytes=actual.bytes)

@@ -291,6 +291,9 @@ class ReplicatedGateway:
     def export_stats(self, name: str, refresh: bool = False):
         return self._leader_gateway().export_stats(name, refresh)
 
+    def export_index_columns(self, name: str):
+        return self._leader_gateway().export_index_columns(name)
+
     def data_version(self, export_name: str) -> tuple[int, int, int]:
         return self._leader_gateway().data_version(export_name)
 

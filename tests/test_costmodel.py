@@ -217,3 +217,99 @@ class TestSemijoinBenefit:
             "s", "rel", None, "k", "s", "rel", None, ["k"], "k"
         )
         assert benefit <= 0
+
+
+_E3_JOIN = "SELECT l.k, r.val FROM lhs l JOIN rhs r ON l.k = r.k WHERE l.flt < 0.15"
+_SEMIJOIN_PLAN = """GlobalPlan[cost]
+  estimated cost: 226.58ms
+  fetch #0 s1.left_rel AS left_rel: [k] WHERE flt < 0.15
+  fetch #1 s2.right_rel AS right_rel: [k, val] SEMIJOIN keys from #0.k -> k
+  note: semijoin: reduce fetch #1 by keys of #0.k (est. benefit {benefit})
+  residual: SELECT l.k, r.val FROM (SELECT k FROM __f1_left_rel AS left_rel) \
+AS l JOIN (SELECT k, val FROM __f2_right_rel AS right_rel) AS r ON l.k = r.k"""
+
+
+class TestIndexProbeCosting:
+    """Local work follows the component's access path."""
+
+    @staticmethod
+    def _cost(cost_model, predicate):
+        # A fixed reply estimate isolates the local-work term.
+        from repro.query.cost import FragmentEstimate
+
+        return cost_model.fetch_cost(
+            "s",
+            "rel",
+            ["k"],
+            parse_expression(predicate) if predicate else None,
+            estimate=FragmentEstimate(rows=1, row_bytes=8),
+        )
+
+    def test_pk_equality_charges_one_row(self, model):
+        from repro.gateway import LOCAL_ROW_COST_S
+
+        cost_model, _ = model
+        saved = self._cost(cost_model, None) - self._cost(cost_model, "k = 3")
+        assert saved == pytest.approx(199 * LOCAL_ROW_COST_S)
+        assert self._cost(cost_model, "3 = k AND grp = 1") == pytest.approx(
+            self._cost(cost_model, "k = 3")
+        )
+
+    @pytest.mark.parametrize(
+        "predicate", ["grp = 3", "k < 3", "k <> 3", "k = NULL", "k = grp"]
+    )
+    def test_other_predicates_charge_a_full_scan(self, model, predicate):
+        cost_model, _ = model
+        assert self._cost(cost_model, predicate) == self._cost(cost_model, None)
+
+    @pytest.mark.parametrize(
+        "build, sql, expected",
+        [
+            (
+                dict(left_rows=300, right_rows=4000, match_fraction=0.02,
+                     payload_width=40, seed=31),
+                _E3_JOIN,
+                _SEMIJOIN_PLAN.format(benefit="47.83ms"),
+            ),
+            (
+                dict(left_rows=300, right_rows=4000, match_fraction=0.9,
+                     payload_width=40, seed=31),
+                _E3_JOIN,
+                _SEMIJOIN_PLAN.format(benefit="45.34ms"),
+            ),
+            (
+                dict(left_rows=2000, right_rows=2000, match_fraction=1.0,
+                     payload_width=32),
+                "SELECT l.k, r.val FROM lhs l JOIN rhs r ON l.k = r.k "
+                "WHERE l.flt < 0.7",
+                """GlobalPlan[cost]
+  estimated cost: 137.62ms
+  fetch #0 s1.left_rel AS left_rel: [k] WHERE flt < 0.7
+  fetch #1 s2.right_rel AS right_rel: [k, val]
+  residual: SELECT l.k, r.val FROM (SELECT k FROM __f1_left_rel AS left_rel) \
+AS l JOIN (SELECT k, val FROM __f2_right_rel AS right_rel) AS r ON l.k = r.k""",
+            ),
+            (
+                dict(left_rows=800, right_rows=800, match_fraction=0.25,
+                     payload_width=200),
+                "SELECT l.k, l.pad, r.val, r.pad FROM lhs l JOIN rhs r "
+                "ON l.k = r.k WHERE l.flt < 0.15",
+                """GlobalPlan[cost]
+  estimated cost: 221.61ms
+  fetch #0 s1.left_rel AS left_rel: [k, pad] WHERE flt < 0.15
+  fetch #1 s2.right_rel AS right_rel: [k, val, pad] SEMIJOIN keys from #0.k -> k
+  note: semijoin: reduce fetch #1 by keys of #0.k (est. benefit 107.49ms)
+  residual: SELECT l.k, l.pad, r.val, r.pad FROM (SELECT k, pad FROM \
+__f1_left_rel AS left_rel) AS l JOIN (SELECT k, val, pad FROM __f2_right_rel \
+AS right_rel) AS r ON l.k = r.k""",
+            ),
+        ],
+        ids=["e3-match-0.02", "e3-match-0.9", "join_ship", "semijoin_join"],
+    )
+    def test_join_plans_unchanged(self, build, sql, expected):
+        # Join fetches filter on ranges, never on an indexed equality, so
+        # access-path costing must leave the E3 and ledger join plans alone.
+        from repro.workloads import build_two_site_join
+
+        system = build_two_site_join(**build)
+        assert system.processor("synth").plan(sql, "cost").describe() == expected

@@ -1,8 +1,13 @@
 """Local engine SELECT tests over the classic EMP/DEPT dataset."""
 
+import datetime
+from decimal import Decimal
+
 import pytest
 
+from repro.engine import LocalEngine
 from repro.errors import CatalogError, ExecutionError
+from repro.storage.catalog import Catalog
 
 
 def rows(engine, sql):
@@ -465,3 +470,141 @@ class TestPlanner:
             "SELECT ename FROM emp WHERE deptno = ? AND sal > ?", [20, 2900]
         )
         assert sorted(r[0] for r in result.rows) == ["FORD", "JONES", "SCOTT"]
+
+
+#: The shape a gateway ships for an export: plain renamed columns over a
+#: local table, with the export's own row predicate.
+VIEW = (
+    "(SELECT emp.empno AS id, emp.ename AS name, emp.deptno AS dno "
+    "FROM emp WHERE emp.deptno = 10) AS e"
+)
+
+
+class TestViewPushdown:
+    def test_renamed_column_reaches_the_pk_index(self, engine):
+        sql = f"SELECT name FROM {VIEW} WHERE id = 7839"
+        plan = engine.explain(sql)
+        assert "IndexScan(emp AS emp USING __pk_emp = (7839,))" in plan
+        assert "Filter(e.id" not in plan
+        assert rows(engine, sql) == [("KING",)]
+        assert engine.last_report.rows_scanned == 1
+
+    def test_view_predicate_is_anded_not_replaced(self, engine):
+        # SMITH (7369) is in dept 20: the view's own WHERE must still drop it.
+        assert rows(engine, f"SELECT name FROM {VIEW} WHERE id = 7369") == []
+        assert "Filter(emp.deptno = 10)" in engine.explain(
+            f"SELECT name FROM {VIEW} WHERE id = 7369"
+        )
+        assert sorted(rows(engine, f"SELECT name FROM {VIEW} WHERE id > 0")) == [
+            ("CLARK",), ("KING",), ("MILLER",),
+        ]
+
+    def test_null_supplying_side_of_left_join_not_pushed(self, engine):
+        sql = (
+            "SELECT d.dname, e.name FROM dept d "
+            f"LEFT JOIN {VIEW} ON d.deptno = e.dno WHERE e.id = 7839"
+        )
+        # Pushed into e, the filter would pad every other department with
+        # NULLs instead of removing it.
+        assert rows(engine, sql) == [("ACCOUNTING", "KING")]
+        plan = engine.explain(sql)
+        assert "Filter(e.id = 7839)" in plan
+        assert "SeqScan(emp AS emp)" in plan
+
+    def test_preserved_side_of_left_join_is_pushed(self, engine):
+        sql = (
+            f"SELECT e.name, d.dname FROM {VIEW} "
+            "LEFT JOIN dept d ON e.dno = d.deptno WHERE e.id = 7782"
+        )
+        assert rows(engine, sql) == [("CLARK", "ACCOUNTING")]
+        assert "USING __pk_emp = (7782,)" in engine.explain(sql)
+
+    def test_correlated_and_subquery_conjuncts_stay_outside(self, engine):
+        from repro.engine.expressions import OutputColumn, Scope
+        from repro.sql import parse_query
+
+        query = parse_query(
+            f"SELECT name FROM {VIEW} WHERE id = 7839 AND e.dno = d.deptno "
+            "AND e.id IN (SELECT mgr FROM emp)"
+        )
+        outer = Scope([OutputColumn("deptno", "d")])
+        plan = engine.planner.plan_query(query, outer).explain()
+        assert "USING __pk_emp = (7839,)" in plan
+        above_view = plan[: plan.index("Rename(e)")]
+        assert "e.dno = d.deptno" in above_view
+        assert "IN (SELECT" in above_view
+
+    def test_correlated_view_query_answers(self, engine):
+        sql = (
+            "SELECT d.dname FROM dept d WHERE EXISTS (SELECT 1 FROM "
+            f"{VIEW} WHERE e.dno = d.deptno AND e.id = 7934)"
+        )
+        assert rows(engine, sql) == [("ACCOUNTING",)]
+
+    @pytest.mark.parametrize(
+        "view",
+        [
+            "(SELECT DISTINCT emp.empno AS id FROM emp) AS e",
+            "(SELECT emp.empno AS id FROM emp GROUP BY emp.empno) AS e",
+            "(SELECT emp.empno AS id FROM emp ORDER BY emp.sal LIMIT 20) AS e",
+            "(SELECT emp.empno + 0 AS id FROM emp) AS e",
+        ],
+    )
+    def test_non_projection_views_are_not_pushed_into(self, engine, view):
+        sql = f"SELECT id FROM {view} WHERE id = 7839"
+        plan = engine.explain(sql)
+        assert "Filter(id = 7839)" in plan
+        assert "IndexScan" not in plan
+        assert rows(engine, sql) == [(7839,)]
+
+    def test_limit_view_keeps_its_row_choice(self, engine):
+        # Pushing into a LIMIT view would pick the first match instead of
+        # filtering the view's first row.
+        sql = (
+            "SELECT id FROM (SELECT emp.empno AS id FROM emp "
+            "ORDER BY emp.empno LIMIT 1) AS e WHERE id = 7839"
+        )
+        assert rows(engine, sql) == []
+
+    def test_equality_probe_wins_over_range_scan(self, engine):
+        engine.execute("CREATE INDEX sal_idx ON emp (sal)")
+        sql = (
+            "SELECT name FROM (SELECT emp.empno AS id, emp.ename AS name "
+            "FROM emp WHERE emp.sal > 1000) AS e WHERE id = 7839"
+        )
+        assert "USING __pk_emp = (7839,)" in engine.explain(sql)
+        assert rows(engine, sql) == [("KING",)]
+        assert engine.last_report.rows_scanned == 1
+
+
+class TestIndexProbeLiteralTypes:
+    """An index looks keys up exactly while SQL comparison coerces, so a
+    literal of another type than the column's stays in the filter."""
+
+    @pytest.mark.parametrize(
+        "column, stored, where",
+        [
+            ("k INTEGER PRIMARY KEY", 57, "k = '57'"),
+            ("k VARCHAR(10) PRIMARY KEY", "57", "k = 57"),
+            ("k DATE PRIMARY KEY", datetime.date(2020, 1, 2), "k = '2020-01-02'"),
+            ("k DECIMAL PRIMARY KEY", Decimal("1.1"), "k = 1.1"),
+            ("k INTEGER PRIMARY KEY", 1, "k = TRUE"),
+            ("k INTEGER PRIMARY KEY", 57, "k >= '57'"),
+        ],
+    )
+    @pytest.mark.parametrize(
+        "source", ["t", "(SELECT t.k AS k, t.v AS v FROM t) AS x"]
+    )
+    def test_mismatched_literal_is_filtered(self, column, stored, where, source):
+        eng = LocalEngine(Catalog("types"))
+        eng.execute(f"CREATE TABLE t ({column}, v INTEGER)")
+        eng.execute("INSERT INTO t VALUES (?, 1)", [stored])
+        sql = f"SELECT v FROM {source} WHERE {where}"
+        assert "IndexScan" not in eng.explain(sql)
+        assert rows(eng, sql) == [(1,)]
+
+    @pytest.mark.parametrize("where", ["empno = 7839", "empno = 7839.0"])
+    def test_same_family_literal_is_probed(self, engine, where):
+        sql = f"SELECT ename FROM emp WHERE {where}"
+        assert "IndexScan" in engine.explain(sql)
+        assert rows(engine, sql) == [("KING",)]

@@ -3,6 +3,8 @@
 import datetime
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.engine.expressions import (
     DEFAULT_NOW,
@@ -222,3 +224,101 @@ class TestFunctions:
 
     def test_concat_operator_coerces(self):
         assert evaluate("'n=' || 5") == "n=5"
+
+
+_IN_VALUES = st.one_of(
+    st.none(),
+    st.integers(),
+    st.integers(-3, 3),
+    st.floats(allow_nan=True),
+    st.sampled_from([0.0, -0.0, 1.0, 2.5, float("inf")]),
+    st.decimals(allow_nan=False, allow_infinity=False, places=2),
+    st.booleans(),
+    st.text(max_size=3),
+    st.sampled_from(["1", "2.5", "x"]),
+)
+_IN_NUMBERS = st.one_of(
+    st.integers(), st.integers(-3, 3), st.floats(), st.sampled_from([1.0, 2.5])
+)
+
+
+def _expected_in(value, items, negated):
+    from repro.engine.expressions import membership
+    from repro.storage.types import tv_not
+
+    result = membership(value, items)
+    return tv_not(result) if negated else result
+
+
+def _outcome(run):
+    try:
+        return ("ok", run())
+    except SQLTypeError:
+        return ("error", None)
+
+
+class TestInListProbe:
+    """The hashed IN probe against :func:`membership`, on both engines."""
+
+    @settings(max_examples=400, deadline=None)
+    @given(
+        values=st.lists(_IN_VALUES, min_size=1, max_size=6),
+        items=st.one_of(
+            st.lists(st.one_of(_IN_NUMBERS, st.none()), min_size=1, max_size=8),
+            st.lists(_IN_VALUES, min_size=1, max_size=8),
+        ),
+        negated=st.booleans(),
+    )
+    def test_probe_matches_membership(self, values, items, negated):
+        from repro.engine.columnar import compile_expr
+        from repro.engine.operators import ExecContext
+        from repro.sql import ast
+
+        expr = ast.InList(
+            ast.ColumnRef("x"), [ast.Literal(v) for v in items], negated
+        )
+        scope = Scope([OutputColumn("x", "t")])
+        evaluator = ExpressionEvaluator(scope, EvalEnv())
+        compiled = compile_expr(expr, scope)
+        ctx = ExecContext(env=EvalEnv())
+        for value in values:
+            expected = _outcome(lambda: _expected_in(value, items, negated))
+            row = _outcome(lambda: evaluator.eval(expr, (value,)))
+            batch = _outcome(lambda: compiled([[value]], 1, None, ctx)[0])
+            assert row == expected, (value, items)
+            assert batch == expected, (value, items)
+
+    def test_numeric_coercion_and_nulls(self):
+        from decimal import Decimal
+
+        from repro.engine.expressions import literal_in_probe
+        from repro.sql import ast
+
+        probe = literal_in_probe([ast.Literal(v) for v in (1, 2.5, None)])
+        assert probe(1) is True
+        assert probe(1.0) is True
+        assert probe(Decimal(1)) is True
+        assert probe(Decimal("2.5")) is True
+        assert probe(7) is None  # a NULL item makes a miss unknown
+        assert probe(None) is None
+        assert literal_in_probe([ast.Literal(True)]) is None
+        assert literal_in_probe([ast.Literal("a")]) is None
+        assert literal_in_probe([ast.Literal(float("nan"))]) is None
+        assert literal_in_probe([ast.ColumnRef("x")]) is None
+
+    def test_probe_is_built_once_per_node(self, monkeypatch):
+        import repro.engine.expressions as expressions
+
+        builds = []
+        original = expressions.literal_in_probe
+        monkeypatch.setattr(
+            expressions,
+            "literal_in_probe",
+            lambda items: builds.append(1) or original(items),
+        )
+        scope = Scope([OutputColumn("x", "t")])
+        evaluator = ExpressionEvaluator(scope, EvalEnv())
+        expr = parse_expression("x IN (1, 2, 3)")
+        hits = [evaluator.eval(expr, (v,)) for v in range(5)]
+        assert hits == [False, True, True, True, False]
+        assert len(builds) == 1

@@ -315,3 +315,86 @@ class TestWaitForEdges:
         done.wait(2)
         thread.join()
         gateway.abort("G_HOLDER")
+
+
+class TestPushdownThroughExports:
+    """The export view is shipped as a derived table; the component
+    planner pushes the fetch predicate through it onto the local index."""
+
+    def test_renamed_pk_column_is_probed(self, setup):
+        _, ora, gateway = setup
+        result = gateway.execute_query("SELECT name FROM emp WHERE empno = 2")
+        assert result.rows == [("BLAKE",)]
+        assert result.scanned == 1
+        assert ora.engine.last_report.rows_scanned == 1
+
+    def test_export_predicate_still_applies(self):
+        net = Network()
+        ora = OracleDBMS("ora")
+        ora.execute(
+            "CREATE TABLE employees (eno INTEGER PRIMARY KEY, dno INTEGER)"
+        )
+        ora.execute("INSERT INTO employees VALUES (1, 10), (2, 30)")
+        gateway = Gateway(ora, net)
+        gateway.export_table(
+            "employees", "dept10", {"id": "eno"}, predicate="dno = 10"
+        )
+        assert gateway.execute_query(
+            "SELECT id FROM dept10 WHERE id = 2"
+        ).rows == []
+        assert gateway.execute_query(
+            "SELECT id FROM dept10 WHERE id = 1"
+        ).rows == [(1,)]
+
+    def test_index_columns_follow_the_local_catalog(self, setup):
+        _, ora, gateway = setup
+        gateway.export_stats("emp")
+        assert set(gateway.export_index_columns("emp")) == {"empno"}
+        # An index created after the statistics were cached is seen.
+        ora.execute("CREATE INDEX dno_idx ON employees (dno)")
+        assert set(gateway.export_index_columns("emp")) == {"empno", "deptno"}
+
+    def test_string_literal_on_integer_key_still_matches(self):
+        from repro.workloads import build_bank_sites
+
+        system = build_bank_sites(4, 50, parallel_fetches=1)
+        by_string = system.query(
+            "bank", "SELECT balance FROM accounts WHERE acct = '57'"
+        )
+        assert by_string.rows == [(1000.0,)]
+        assert system.gateways["b1"].dbms.engine.last_report.rows_scanned == 50
+
+    def test_federated_point_lookup_scans_one_row_at_its_owner(self):
+        from repro.workloads import build_bank_sites
+
+        system = build_bank_sites(4, 50, parallel_fetches=1)
+        result = system.query("bank", "SELECT balance FROM accounts WHERE acct = 57")
+        assert result.rows == [(1000.0,)]
+        scanned = {
+            name: gateway.dbms.engine.last_report.rows_scanned
+            for name, gateway in system.gateways.items()
+        }
+        assert scanned == {"b0": 0, "b1": 1, "b2": 0, "b3": 0}
+        actuals = [
+            result.fetch_actuals[fetch.index].scanned
+            for fetch in result.plan.fetches
+        ]
+        assert sorted(actuals) == [0, 0, 0, 1]
+        report = result.explain_analyze()
+        assert report.count("scanned=0") == 3
+        assert report.count("scanned=1 ") == 1
+        # The estimate charges the index probe, not a full scan.
+        for fetch in result.plan.fetches:
+            actual = result.fetch_actuals[fetch.index]
+            assert fetch.est_cost_s == pytest.approx(actual.sim_s, rel=0.05)
+
+    def test_cache_hits_render_no_scan_count(self):
+        from repro.workloads import build_bank_sites
+
+        system = build_bank_sites(2, 10)
+        sql = "SELECT balance FROM accounts WHERE acct = 3"
+        system.query("bank", sql)
+        again = system.query("bank", sql)
+        assert all(a.cached for a in again.fetch_actuals.values())
+        assert all(a.scanned is None for a in again.fetch_actuals.values())
+        assert "scanned=" not in again.explain_analyze()
