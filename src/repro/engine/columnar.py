@@ -7,14 +7,19 @@ second execution strategy over the *same* physical plan: operators exchange
 every expression is compiled **once per query** into a closure that runs
 over whole columns with selection vectors.
 
+The engine picks this strategy per statement, never a user: a plan whose
+scans feed at least ``planner.BATCH_MIN_ROWS`` rows runs here, a smaller
+one row-at-a-time (``planner.prefers_batch``).
+
 Correctness contract (tested by ``tests/test_columnar.py``):
 
 - identical result rows *in identical order* to the row engine, for every
   supported query shape — so vectorized subtrees compose transparently
   under row-at-a-time parents (Sort, Limit, set ops, nested-loop joins);
-- identical ``rows_scanned`` accounting, except under a bare LIMIT where
-  the row engine stops pulling its child early while a batch materialises
-  its input fully (documented in the README);
+- identical ``rows_scanned`` accounting, except under a LIMIT over a
+  streaming input, where the row engine stops pulling its child early
+  while a batch materialises its input fully; ``prefers_batch`` keeps
+  those plans on rows;
 - scalar semantics come from the *same* kernels the row evaluator uses
   (``expressions.BINARY_KERNELS`` / ``UNARY_KERNELS``), so three-valued
   logic, numeric coercion and error behaviour cannot drift.
@@ -552,7 +557,7 @@ class VecMaterialize(VecNode):
             if ctx.snapshot is not None:
                 data = [row for _, row in ctx.snapshot.visible_items(op.table)]
             else:
-                data = [row for _, row in op.table.scan()]
+                data = list(op.table.rows.values())
             ctx.rows_scanned += len(data)
         elif type(op) is ops.ValuesScan:
             data = list(op._rows)

@@ -26,7 +26,7 @@ from repro.engine.expressions import (
     OutputColumn,
     Scope,
 )
-from repro.engine.planner import LocalPlanner, _RecordingScope
+from repro.engine.planner import LocalPlanner, _RecordingScope, prefers_batch
 from repro.sql import ast, parse_statement
 from repro.storage.catalog import Catalog
 from repro.storage.schema import Column, Row, TableSchema
@@ -91,6 +91,8 @@ class ExecutionReport:
 
     rows_scanned: int = 0
     rows_returned: int = 0
+    #: How the statement ran: ``"batch"`` (columnar) or ``"row"``.
+    strategy: str = "row"
 
 
 class LocalEngine:
@@ -102,16 +104,12 @@ class LocalEngine:
         functions: dict[str, Callable] | None = None,
         now: Callable[[], datetime.datetime] | None = None,
         mutator: Mutator | None = None,
-        vectorized: bool = False,
     ):
         self.catalog = catalog
         self.planner = LocalPlanner(catalog)
         self.functions = {k.upper(): v for k, v in (functions or {}).items()}
         self._now = now or (lambda: DEFAULT_NOW)
         self.mutator = mutator or Mutator()
-        #: Execute queries batch-at-a-time over columnar blocks
-        #: (:mod:`repro.engine.columnar`) instead of row-at-a-time.
-        self.vectorized = bool(vectorized)
         self._report_local = threading.local()
 
     @property
@@ -199,18 +197,14 @@ class LocalEngine:
         if snapshot is None:
             self._lock_query_tables(query, mutator)
         plan = self.planner.plan_query(query, outer)
+        env = self._make_env(mutator, snapshot)
         ctx = ops.ExecContext(
-            env=self._make_env(mutator, snapshot),
-            outer_rows=outer_rows,
-            snapshot=snapshot,
+            env=env, outer_rows=outer_rows, snapshot=snapshot
         )
-        if self.vectorized:
-            from repro.engine.columnar import run_vectorized
-
-            rows = run_vectorized(plan, ctx)
-        else:
-            rows = list(plan.rows(ctx))
-        self.last_report = ExecutionReport(ctx.rows_scanned, len(rows))
+        rows, strategy = _run_plan(plan, ctx)
+        self.last_report = ExecutionReport(
+            ctx.rows_scanned + env.rows_scanned, len(rows), strategy
+        )
         return ResultSet([c.name for c in plan.schema], rows)
 
     def explain(self, query: str | ast.Query) -> str:
@@ -247,7 +241,8 @@ class LocalEngine:
             ctx = ops.ExecContext(
                 env=env, outer_rows=outer_rows, snapshot=snapshot
             )
-            rows = list(plan.rows(ctx))
+            rows, _ = _run_plan(plan, ctx)
+            env.rows_scanned += ctx.rows_scanned
             if not recorder.consulted:
                 cache[key] = rows
             return rows
@@ -394,6 +389,20 @@ class LocalEngine:
 # ---------------------------------------------------------------------------
 # Helpers
 # ---------------------------------------------------------------------------
+
+
+def _run_plan(
+    plan: ops.Operator, ctx: ops.ExecContext
+) -> tuple[list[tuple], str]:
+    """Execute a planned query on the strategy the planner's size rule
+    picks (:func:`~repro.engine.planner.prefers_batch`); returns the rows
+    and ``"batch"`` or ``"row"``.  Both give identical rows in identical
+    order and identical ``rows_scanned``."""
+    if prefers_batch(plan):
+        from repro.engine.columnar import run_vectorized
+
+        return run_vectorized(plan, ctx), "batch"
+    return list(plan.rows(ctx)), "row"
 
 
 def _bind_parameters(

@@ -94,6 +94,9 @@ class EvalEnv:
     functions: dict[str, Callable] = field(default_factory=dict)
     subquery_executor: SubqueryExecutor | None = None
     now: datetime.datetime = DEFAULT_NOW
+    #: Rows scanned by the subqueries ``subquery_executor`` ran; the
+    #: engine adds them to the statement's own count.
+    rows_scanned: int = 0
 
 
 #: Cache marker for unqualified SYSDATE/CURRENT_DATE references that do not

@@ -37,18 +37,9 @@ class ExecContext:
     env: EvalEnv = field(default_factory=EvalEnv)
     outer_rows: tuple[tuple, ...] = ()
     rows_scanned: int = 0
-    rows_emitted: int = 0
     #: When set (a :class:`repro.concurrency.Snapshot`), scans read the
     #: snapshot's visible versions instead of the live heap — lock-free.
     snapshot: object | None = None
-
-    def child(self, extra_outer: tuple) -> "ExecContext":
-        clone = ExecContext(
-            self.env,
-            (extra_outer, *self.outer_rows),
-            snapshot=self.snapshot,
-        )
-        return clone
 
 
 class Operator:

@@ -295,8 +295,8 @@ class Gateway:
             )
             session = self._session_for(global_id)
             result = self._run_local(session, sql_text, timeout)
-            rows_scanned = self.dbms.engine.last_report.rows_scanned
-            compute_cost = rows_scanned * LOCAL_ROW_COST_S
+            report = self.dbms.engine.last_report
+            compute_cost = report.rows_scanned * LOCAL_ROW_COST_S
             if trace is not None:
                 trace.add_compute(compute_cost)
             rows = _normalize_rows(result.rows)
@@ -343,8 +343,10 @@ class Gateway:
         obs.window.observe("site.latency_s", sim_latency, site=self.site)
         shipped = ResultSet(result.columns, rows)
         # The executor reports the component's scan work per fetch in
-        # EXPLAIN ANALYZE: the access path it took, seen from outside.
-        shipped.scanned = rows_scanned
+        # EXPLAIN ANALYZE: the access path it took, seen from outside,
+        # and whether its engine ran the fragment as a batch or by rows.
+        shipped.scanned = report.rows_scanned
+        shipped.strategy = report.strategy
         if encoded is not None:
             # The executor reads this for per-fetch raw-vs-wire actuals
             # and stores the encoded payload in the fragment cache.

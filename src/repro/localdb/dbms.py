@@ -44,7 +44,6 @@ class LocalDBMS:
         clock: Callable[[], datetime.datetime] | None = None,
         functions: dict[str, Callable] | None = None,
         mvcc_reads: bool = True,
-        vectorized: bool = False,
     ):
         self.name = name or f"dbms{next(_dbms_counter)}"
         #: When True (default), autocommit SELECTs and ``BEGIN READ ONLY``
@@ -54,15 +53,11 @@ class LocalDBMS:
         self.mvcc_reads = mvcc_reads
         self.catalog = Catalog(self.name)
         self.transactions = LocalTransactionManager(lock_timeout=lock_timeout)
-        # vectorized: SELECTs run batch-at-a-time on the columnar engine
-        # (identical results, same rows_scanned accounting; see
-        # repro.engine.columnar).  Off by default — the E20 baseline.
-        self.engine = LocalEngine(
-            self.catalog,
-            functions=functions,
-            now=clock,
-            vectorized=vectorized,
-        )
+        # The engine picks batch or row execution per SELECT from the
+        # plan's input size (repro.engine.planner.prefers_batch), as an
+        # autonomous component chooses its own strategy; both give the
+        # same rows and rows_scanned.
+        self.engine = LocalEngine(self.catalog, functions=functions, now=clock)
         self._session_counter = itertools.count(1)
         self._mutex = threading.Lock()
 

@@ -52,7 +52,6 @@ class MyriadSystem:
         replication_seed: int = 0,
         retry_jitter: bool = False,
         jitter_seed: int = 0,
-        vectorized: bool = False,
         wire_compression: bool = False,
     ):
         self.network = network or Network()
@@ -105,15 +104,10 @@ class MyriadSystem:
         #: snapshot reads (autocommit SELECTs take no table locks).  See
         #: README "Serving & MVCC".
         self.mvcc_reads = mvcc_reads
-        #: Columnar-engine knobs (experiment E20).  Both default OFF: with
-        #: them off, execution and simulated accounting are bit-identical
-        #: to the row-at-a-time system.  ``vectorized`` runs every local
-        #: engine (components built via add_oracle/add_postgres plus the
-        #: federation-site residual) batch-at-a-time on the columnar
-        #: engine; ``wire_compression`` dict/RLE-encodes shipped fragments
-        #: so the cost model charges compressed bytes.  See README
-        #: "Columnar engine & wire compression".
-        self.vectorized = vectorized
+        #: Wire-codec knob (experiment E20), default OFF:
+        #: ``wire_compression`` dict/RLE-encodes shipped fragments so the
+        #: cost model charges compressed bytes.  See README "Columnar
+        #: engine & wire compression".
         self.wire_compression = wire_compression
         #: Replication knobs (experiment E19).  With
         #: ``replication_factor=1`` (the default) no replica-group
@@ -380,7 +374,6 @@ class MyriadSystem:
 
     def _add_dialect(self, factory, name: str, **kwargs):
         kwargs.setdefault("mvcc_reads", self.mvcc_reads)
-        kwargs.setdefault("vectorized", self.vectorized)
         if self.replication_factor <= 1:
             return self.add_component(factory(name, **kwargs))
         dbmses = [
@@ -459,7 +452,6 @@ class MyriadSystem:
                 replan_threshold=self.replan_threshold,
                 retry_jitter=self.retry_jitter,
                 jitter_seed=self.jitter_seed,
-                vectorized=self.vectorized,
                 wire_compression=self.wire_compression,
             )
         return self._processors[key]

@@ -40,6 +40,9 @@ class FetchActual:
     #: path seen from outside: an index probe scans what it returns, a
     #: bypassed index scans the whole table); None for cache hits.
     scanned: int | None = None
+    #: How the component engine ran it: ``"batch"`` or ``"row"``; None
+    #: for cache hits.
+    strategy: str | None = None
 
 
 def _fmt_est(value: float | None, unit: str = "") -> str:
@@ -110,9 +113,9 @@ def render_explain_analyze(result) -> str:
             saved = 100.0 * (1 - actual.bytes / actual.raw_bytes)
             codec = f" codec={actual.codec}" if actual.codec else ""
             wire = f" raw={actual.raw_bytes} (-{saved:.0f}%{codec})"
-        scanned = (
-            f" scanned={actual.scanned}" if actual.scanned is not None else ""
-        )
+        scanned = ""
+        if actual.scanned is not None:
+            scanned = f" scanned={actual.scanned} {actual.strategy}"
         lines.append(
             f"    actual: rows={actual.rows}{scanned} bytes={actual.bytes}{wire} "
             f"time={actual.sim_s * 1000:.3f}ms "
@@ -124,6 +127,13 @@ def render_explain_analyze(result) -> str:
     from repro.sql.printer import SQLPrinter
 
     lines.append("  residual: " + SQLPrinter().print_query(plan.query))
+    residual = getattr(result, "residual", None)
+    if residual is not None:
+        # The federation-site engine's path and scan work on the residual.
+        lines.append(
+            f"    engine: {residual.strategy}, "
+            f"{residual.rows_scanned} rows scanned"
+        )
     lines.append(
         f"  result: {len(result.rows)} rows "
         f"({result.fetched_rows} fetched from {len(plan.fetches)} fragments)"

@@ -381,6 +381,24 @@ def _system_config(system) -> dict:
         "slow_query_threshold_s": system.obs.slow_query_threshold_s,
         "trace_sample_rate": system.obs.tracer.sample_rate,
         "slos": sorted(system.obs.slos),
+        # The performance options, so a post-mortem knows which code
+        # paths the run could take.
+        **{
+            option: getattr(system, option)
+            for option in (
+                "parallel_fetches",
+                "plan_cache_size",
+                "fragment_cache",
+                "mvcc_reads",
+                "adaptive_feedback",
+                "adaptive_replan",
+                "replan_threshold",
+                "replication_factor",
+                "follower_reads",
+                "retry_jitter",
+                "wire_compression",
+            )
+        },
     }
 
 

@@ -21,7 +21,7 @@ from dataclasses import dataclass, field
 from typing import NamedTuple
 
 from repro.cache import FragmentCache
-from repro.engine import LocalEngine, ResultSet
+from repro.engine import ExecutionReport, LocalEngine, ResultSet
 from repro.errors import (
     CircuitOpenError,
     ExecutionError,
@@ -77,6 +77,9 @@ class GlobalResult:
     #: Correlation id of the request that produced this result; stamped on
     #: every span, event, and network message of the execution.
     request_id: str | None = None
+    #: The federation-site engine's work on the residual query: rows
+    #: scanned and whether it ran as a batch or by rows.
+    residual: ExecutionReport | None = None
 
     def __iter__(self):
         return iter(self.rows)
@@ -170,13 +173,10 @@ class GlobalExecutor:
         fragment_cache: FragmentCache | None = None,
         retry_jitter: bool = False,
         jitter_seed: int = 0,
-        vectorized: bool = False,
         wire_compression: bool = False,
     ):
         self.federation = federation
         self._obs = obs
-        #: Run the federation-site residual query on the columnar engine.
-        self.vectorized = bool(vectorized)
         #: Gateways ship dict/RLE-encoded fragments; cached fragments keep
         #: the encoded payload and decode on hit.
         self.wire_compression = bool(wire_compression)
@@ -284,9 +284,7 @@ class GlobalExecutor:
         obs = run.obs
         catalog = Catalog(f"federation:{self.federation.name}")
         engine = LocalEngine(
-            catalog,
-            functions=self.federation.functions.as_dict(),
-            vectorized=self.vectorized,
+            catalog, functions=self.federation.functions.as_dict()
         )
 
         fetch_results = run.fetch_results
@@ -345,7 +343,8 @@ class GlobalExecutor:
 
         with obs.span("execute.residual") as residual_span:
             result = engine.execute_query(plan.query)
-            residual_sim = engine.last_report.rows_scanned * LOCAL_ROW_COST_S
+            residual = engine.last_report
+            residual_sim = residual.rows_scanned * LOCAL_ROW_COST_S
             trace.add_compute(residual_sim)
             residual_span.set_sim(residual_sim)
             residual_span.tag(rows=len(result.rows))
@@ -371,6 +370,7 @@ class GlobalExecutor:
             degraded=bool(missing),
             missing_sites=sorted(missing),
             request_id=request_id,
+            residual=residual,
         )
 
     def _health(self):
@@ -724,6 +724,7 @@ class GlobalExecutor:
                     raw_bytes=branch.raw_payload_bytes,
                     codec=encoded.codec if encoded is not None else None,
                     scanned=getattr(result, "scanned", None),
+                    strategy=getattr(result, "strategy", None),
                 )
                 fetch_span.set_sim(actual.sim_s)
                 fetch_span.tag(rows=actual.rows, bytes=actual.bytes)

@@ -52,7 +52,6 @@ class GlobalQueryProcessor:
         replan_threshold: float = 3.0,
         retry_jitter: bool = False,
         jitter_seed: int = 0,
-        vectorized: bool = False,
         wire_compression: bool = False,
     ):
         self.federation = federation
@@ -115,7 +114,6 @@ class GlobalQueryProcessor:
             fragment_cache=frag_cache,
             retry_jitter=retry_jitter,
             jitter_seed=jitter_seed,
-            vectorized=vectorized,
             wire_compression=wire_compression,
         )
         self.executor.replan_threshold = replan_threshold

@@ -3,14 +3,16 @@
 Three layers:
 
 1. **Engine differential** — randomized queries over randomized tables run
-   on both the row-at-a-time and the vectorized engine must produce
-   identical row multisets *and* identical ``rows_scanned`` accounting.
+   row-at-a-time and batch-at-a-time on the same planned tree must produce
+   identical row multisets *and* identical ``rows_scanned`` accounting
+   (the row path is the reference); the engine's size rule picks the
+   expected path on either side of its threshold.
 2. **Codec properties** — dict/RLE encoding round-trips exactly (NULLs,
    empty fragments, mixed ``True``/``1``/``1.0`` columns) and never
    charges more than the raw rowset.
-3. **System knobs** — ``vectorized=True`` leaves simulated accounting
+3. **System** — batch fetches and residuals keep simulated accounting
    bit-identical; ``wire_compression=True`` leaves results identical
-   while cutting bytes-on-wire; both compose with the fragment cache.
+   while cutting bytes-on-wire, and composes with the fragment cache.
 """
 
 import random
@@ -20,8 +22,12 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.engine import LocalEngine
+from repro.engine import operators as ops
+from repro.engine.columnar import run_vectorized
+from repro.engine.planner import BATCH_MIN_ROWS
 from repro.net.codec import decode_fragment, encode_fragment
 from repro.net.sim import estimate_rows_bytes
+from repro.sql import parse_query
 from repro.storage import Catalog
 from repro.workloads import build_bank_sites
 
@@ -77,34 +83,88 @@ QUERIES = [
     "SELECT id FROM t WHERE tag LIKE 'a%' OR val BETWEEN -5 AND 5",
     "SELECT grp, val FROM t ORDER BY val DESC, id LIMIT 7",
     "SELECT UPPER(tag), ABS(val) FROM t WHERE tag IS NOT NULL",
+    "SELECT id FROM t WHERE grp IN (SELECT grp FROM d WHERE label = 'aa')",
+    "SELECT id FROM t WHERE EXISTS (SELECT 1 FROM d WHERE d.grp = t.grp)",
 ]
+
+
+def _run_both(engine: LocalEngine, sql: str):
+    """Run one planned tree both ways: ((rows, scanned) by row, by batch).
+
+    The row run goes first: translating to batches rewires the tree's
+    row-only operators onto batch children."""
+    plan = engine.planner.plan_query(parse_query(sql))
+    runs = []
+    for batch in (False, True):
+        ctx = ops.ExecContext(env=engine._make_env(engine.mutator))
+        rows = run_vectorized(plan, ctx) if batch else list(plan.rows(ctx))
+        runs.append((rows, ctx.rows_scanned + ctx.env.rows_scanned))
+    return runs
 
 
 @pytest.mark.parametrize("seed", range(5))
 def test_differential_row_vs_vectorized(seed):
     engine = _build_random_engine(seed)
     for sql in QUERIES:
-        engine.vectorized = False
-        row_result = engine.execute(sql)
-        row_scanned = engine.last_report.rows_scanned
-        engine.vectorized = True
-        vec_result = engine.execute(sql)
-        vec_scanned = engine.last_report.rows_scanned
-        engine.vectorized = False
-        assert sorted(
-            row_result.rows, key=repr
-        ) == sorted(vec_result.rows, key=repr), sql
-        assert row_result.columns == vec_result.columns, sql
+        (row_rows, row_scanned), (vec_rows, vec_scanned) = _run_both(
+            engine, sql
+        )
+        assert sorted(row_rows, key=repr) == sorted(vec_rows, key=repr), sql
         assert row_scanned == vec_scanned, sql
 
 
 def test_vectorized_preserves_order_sensitive_results():
     engine = _build_random_engine(99)
     sql = "SELECT id, val FROM t WHERE val IS NOT NULL ORDER BY val, id"
-    engine.vectorized = False
-    expected = engine.execute(sql).rows
-    engine.vectorized = True
-    assert engine.execute(sql).rows == expected
+    (row_rows, _), (vec_rows, _) = _run_both(engine, sql)
+    assert vec_rows == row_rows
+
+
+def _sized_engine() -> LocalEngine:
+    """``small`` one row under the batch threshold, ``big`` well over it."""
+    engine = LocalEngine(Catalog("sized"))
+    sizes = {"small": BATCH_MIN_ROWS - 1, "big": 4 * BATCH_MIN_ROWS}
+    for name, count in sizes.items():
+        engine.execute(
+            f"CREATE TABLE {name} (id INTEGER PRIMARY KEY, grp INTEGER)"
+        )
+        for i in range(count):
+            engine.execute(f"INSERT INTO {name} VALUES ({i}, {i % 5})")
+    return engine
+
+
+@pytest.mark.parametrize(
+    "sql, strategy",
+    [
+        ("SELECT id FROM small WHERE grp > 1", "row"),
+        ("SELECT id FROM big WHERE grp > 1", "batch"),
+        ("SELECT grp, COUNT(*) FROM big GROUP BY grp", "batch"),
+        ("SELECT s.id FROM small s JOIN big b ON s.grp = b.grp", "batch"),
+        # The row path stops scanning at the limit; a batch would not.
+        ("SELECT id FROM big LIMIT 3", "row"),
+        ("SELECT id FROM big WHERE grp = 2 LIMIT 3", "row"),
+        # A sort reads its whole input first, so a limit above it saves
+        # no scan and the batch path stays.
+        ("SELECT id FROM big ORDER BY id DESC LIMIT 3", "batch"),
+        ("SELECT grp FROM big WHERE id = 7", "row"),  # PK probe: one row
+        ("SELECT id FROM small WHERE grp IN (SELECT grp FROM big)", "row"),
+    ],
+)
+def test_engine_picks_path_by_input_size(sql, strategy):
+    engine = _sized_engine()
+    result = engine.execute(sql)
+    report = engine.last_report
+    assert report.strategy == strategy
+    (row_rows, row_scanned), _ = _run_both(engine, sql)
+    assert result.rows == row_rows
+    assert report.rows_scanned == row_scanned
+
+
+def test_bare_limit_stops_scanning_early():
+    engine = _sized_engine()
+    engine.execute("SELECT id FROM big LIMIT 3")
+    # The row Limit pulls one row past the limit before it stops.
+    assert engine.last_report.rows_scanned == 4
 
 
 # ---------------------------------------------------------------------------
@@ -189,11 +249,12 @@ def test_codec_true_one_type_strict():
 
 
 # ---------------------------------------------------------------------------
-# System knobs
+# System
 # ---------------------------------------------------------------------------
 
 _SCAN = "SELECT acct, balance FROM accounts WHERE balance >= 0"
 _AGG = "SELECT COUNT(*), SUM(balance) FROM accounts"
+_POINT = "SELECT balance FROM accounts WHERE acct = 130"
 
 
 def _run_bank(**knobs):
@@ -212,14 +273,34 @@ def _run_bank(**knobs):
 
 def test_knobs_off_bit_identical():
     default = _run_bank()
-    explicit = _run_bank(vectorized=False, wire_compression=False)
+    explicit = _run_bank(wire_compression=False)
     assert default == explicit
 
 
-def test_vectorized_same_results_and_accounting():
-    base = _run_bank()
-    vec = _run_bank(vectorized=True)
-    assert vec == base  # rows AND simulated accounting identical
+def test_engine_picks_path_and_keeps_accounting():
+    """Whole-table fetches and their residual run as batches, a PK point
+    fetch by rows, and the simulated accounting is the same as when every
+    statement ran by rows (values recorded from the row-only engine)."""
+    system = build_bank_sites(3, 120)
+    with system:
+        scan = system.query("bank", _SCAN)
+        point = system.query("bank", _POINT)
+    assert len(scan.rows) == 360
+    assert {a.strategy for a in scan.fetch_actuals.values()} == {"batch"}
+    assert sorted(a.scanned for a in scan.fetch_actuals.values()) == [120] * 3
+    assert scan.residual.strategy == "batch"
+    assert scan.residual.rows_scanned == 360
+    assert (scan.bytes_shipped, scan.trace.message_count) == (9075, 6)
+    assert scan.elapsed_s == pytest.approx(0.01602, abs=1e-12)
+
+    assert point.rows == [(1000.0,)]
+    assert {a.strategy for a in point.fetch_actuals.values()} == {"row"}
+    assert sorted(a.scanned for a in point.fetch_actuals.values()) == [0, 0, 1]
+    assert point.residual.strategy == "row"
+    assert (point.bytes_shipped, point.trace.message_count) == (403, 6)
+    assert point.elapsed_s == pytest.approx(0.004156, abs=1e-12)
+    assert "scanned=120 batch" in scan.explain_analyze()
+    assert "engine: row, 1 rows scanned" in point.explain_analyze()
 
 
 def test_wire_compression_cuts_bytes():

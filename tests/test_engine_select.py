@@ -407,6 +407,37 @@ class TestSubqueries:
         ]
 
 
+class TestSubqueryScanAccounting:
+    """A statement's rows_scanned includes the scans its subqueries do."""
+
+    @pytest.fixture
+    def sized(self):
+        engine = LocalEngine(Catalog("sized"))
+        for name, count in (("a", 10), ("b", 1000)):
+            engine.execute(f"CREATE TABLE {name} (id INTEGER, v INTEGER)")
+            for i in range(count):
+                engine.execute(f"INSERT INTO {name} VALUES ({i}, {i % 7})")
+        return engine
+
+    def test_uncorrelated_subquery_counted_once(self, sized):
+        sized.execute("SELECT id FROM a WHERE v IN (SELECT v FROM b)")
+        # 10 outer rows; the cached subquery scans b once.
+        assert sized.last_report.rows_scanned == 10 + 1000
+
+    def test_correlated_subquery_counted_per_outer_row(self, sized):
+        sized.execute(
+            "SELECT id FROM a WHERE EXISTS (SELECT 1 FROM b WHERE b.v = a.v)"
+        )
+        assert sized.last_report.rows_scanned == 10 + 10 * 1000
+
+    def test_nested_subqueries_counted(self, sized):
+        sized.execute(
+            "SELECT id FROM a WHERE v IN "
+            "(SELECT v FROM b WHERE id IN (SELECT id FROM a))"
+        )
+        assert sized.last_report.rows_scanned == 10 + 1000 + 10
+
+
 class TestPlanner:
     def test_pk_lookup_uses_index(self, engine):
         plan = engine.explain("SELECT ename FROM emp WHERE empno = 7839")

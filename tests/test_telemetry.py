@@ -312,6 +312,20 @@ class TestDebugBundle:
             "s2": "OracleDBMS",
         }
         assert bundle.config["default_optimizer"] == "cost"
+        performance = {
+            "parallel_fetches": 4,
+            "plan_cache_size": 64,
+            "fragment_cache": True,
+            "mvcc_reads": True,
+            "adaptive_feedback": False,
+            "adaptive_replan": False,
+            "replan_threshold": 3.0,
+            "replication_factor": 1,
+            "follower_reads": False,
+            "retry_jitter": False,
+            "wire_compression": False,
+        }
+        assert {k: bundle.config[k] for k in performance} == performance
         assert "federation_stats" in bundle.introspection
         for clock in ("wall", "sim"):
             assert validate_chrome_trace(bundle.trace(clock)) == []
