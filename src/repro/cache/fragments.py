@@ -37,12 +37,13 @@ class CachedFragment:
     encoded: object = None
 
     def materialize(self) -> list[tuple]:
-        """The fragment's rows (decoding the encoded payload on demand)."""
+        """The fragment's rows: the stored list itself (registration never
+        mutates it), or the encoded payload decoded on demand."""
         if self.encoded is not None:
             from repro.net.codec import decode_fragment
 
             return decode_fragment(self.encoded)
-        return list(self.rows)
+        return self.rows
 
 
 class FragmentCache:
@@ -119,9 +120,7 @@ class FragmentCache:
             self.bytes_raw += encoded.raw_bytes
             self.bytes_wire += encoded.wire_bytes
         else:
-            entry = CachedFragment(
-                list(columns), list(rows), fetched_at_version
-            )
+            entry = CachedFragment(list(columns), rows, fetched_at_version)
         self._lru.put(self.key(site, export, sql_text, codec), entry)
         return True
 

@@ -811,11 +811,22 @@ def _map_expr(expr: ast.Expression, relation: ExportRelation) -> ast.Expression:
 
 
 def _normalize_rows(rows: list[tuple]) -> list[tuple]:
-    """Canonicalise dialect-specific value types (Decimal → int/float)."""
-    out = []
-    for row in rows:
-        out.append(tuple(_normalize_value(v) for v in row))
-    return out
+    """Canonicalise dialect-specific value types (Decimal → int/float).
+
+    Works a column at a time: only columns holding a Decimal are rebuilt,
+    and when none does ``rows`` comes back untouched, the same list.
+    """
+    columns = list(zip(*rows))
+    decimal_columns = [
+        position
+        for position, column in enumerate(columns)
+        if any(issubclass(kind, Decimal) for kind in set(map(type, column)))
+    ]
+    if not decimal_columns:
+        return rows
+    for position in decimal_columns:
+        columns[position] = map(_normalize_value, columns[position])
+    return list(zip(*columns))
 
 
 def _normalize_value(value: object) -> object:

@@ -5,8 +5,10 @@ Executes a :class:`~repro.query.localizer.GlobalPlan`:
 1. ship fragment queries to gateways — independent fetches in parallel
    (accounted as parallel sections on the message trace), semijoin-dependent
    fetches after their key source,
-2. materialise fragments as temporary tables in a per-query federation-site
-   catalog,
+2. load each fragment into a per-query federation-site catalog as a table
+   of federation-canonical column types, in one column-wise pass: columns
+   the gateway already canonicalised are stored as shipped, not
+   re-validated and re-inserted row by row,
 3. evaluate the residual query there with the federation's integration
    functions registered,
 4. return rows plus the full traffic/timing accounting.
@@ -26,6 +28,7 @@ from repro.errors import (
     CircuitOpenError,
     ExecutionError,
     FederationError,
+    IntegrityError,
     MessageDropped,
 )
 from repro.gateway import LOCAL_ROW_COST_S, Gateway
@@ -35,7 +38,7 @@ from repro.query.localizer import Fetch, GlobalPlan
 from repro.schema.federation import Federation
 from repro.sql import ast, to_sql
 from repro.storage import Catalog, Column, TableSchema
-from repro.storage.types import FLOAT, INTEGER, DataType, TypeKind
+from repro.storage.types import ANY, FLOAT, INTEGER, DataType, TypeKind
 
 
 def _canonical_type(datatype: DataType) -> DataType:
@@ -53,6 +56,29 @@ def _canonical_type(datatype: DataType) -> DataType:
             return INTEGER
         return FLOAT
     return datatype
+
+
+def _output_type(
+    expression: ast.Expression, export_schema: TableSchema
+) -> DataType:
+    """Canonical type of one output of a block shipped whole.
+
+    A bare export column keeps its canonical type, and so do MIN, MAX and
+    SUM of one; COUNT is INTEGER.  Anything else is typed only at run time
+    and stays ANY.
+    """
+    if isinstance(expression, ast.FunctionCall) and expression.is_aggregate:
+        name = expression.name.upper()
+        if name == "COUNT":
+            return INTEGER
+        if name not in ("MIN", "MAX", "SUM") or len(expression.args) != 1:
+            return ANY
+        expression = expression.args[0]
+    if isinstance(expression, ast.ColumnRef) and export_schema.has_column(
+        expression.name
+    ):
+        return _canonical_type(export_schema.column(expression.name).datatype)
+    return ANY
 
 
 @dataclass
@@ -783,56 +809,49 @@ class GlobalExecutor:
     def _register_fragment(
         self, catalog: Catalog, fetch: Fetch, result: ResultSet
     ) -> None:
-        if fetch.whole_query is not None:
-            # Shipped whole blocks (aggregates etc.): output types are only
-            # known dynamically — register pass-through columns.
-            from repro.storage.types import ANY
+        """Bulk-load one fragment into the per-query catalog as a table.
 
-            schema = TableSchema(
-                fetch.temp_name,
-                [Column(name, ANY) for name in result.columns],
-            )
-            table = catalog.create_table(schema)
-            for row in result.rows:
-                table.insert(row)
-            return
-        gateway = self.gateways[fetch.site]
-        export_schema = gateway.export_relation_schema(fetch.export)
-        columns = [
-            Column(
-                name,
-                _canonical_type(export_schema.column(name).datatype),
-                nullable=True,
-            )
-            for name in fetch.columns
-        ]
-        # Keep the primary key when fully shipped: the federation planner
-        # can then use index lookups on the fragment.
-        shipped = {c.lower() for c in fetch.columns}
-        primary_key = (
-            list(export_schema.primary_key)
-            if export_schema.primary_key
-            and all(k.lower() in shipped for k in export_schema.primary_key)
-            else []
+        Columns get federation-canonical types; :meth:`Table.load` keeps
+        every column the gateway already canonicalised as shipped, so a
+        fragment is neither re-validated nor re-inserted row by row.
+        """
+        export_schema = self.gateways[fetch.site].export_relation_schema(
+            fetch.export
         )
-        if primary_key:
+        primary_key: list[str] = []
+        if fetch.whole_query is not None:
+            columns = [
+                Column(name, _output_type(item.expression, export_schema))
+                for name, item in zip(result.columns, fetch.whole_query.items)
+            ]
+        else:
+            columns = [
+                Column(
+                    name, _canonical_type(export_schema.column(name).datatype)
+                )
+                for name in fetch.columns
+            ]
+            # Keep the primary key when fully shipped: the federation
+            # planner can then use index lookups on the fragment.
+            shipped = {c.lower() for c in fetch.columns}
+            if export_schema.primary_key and all(
+                k.lower() in shipped for k in export_schema.primary_key
+            ):
+                primary_key = list(export_schema.primary_key)
+        table = catalog.create_table(
+            TableSchema(fetch.temp_name, columns, primary_key)
+        )
+        try:
+            table.load(result.rows)
+        except IntegrityError:
+            if not primary_key:
+                raise
             # A shipped fragment can legally repeat key values (overlapping
             # export relations behind a union view, semijoin-reduced
-            # fetches): fall back to a keyless temp table rather than
-            # failing the materialisation — the fragment is intermediate
-            # state, not the export itself.
-            positions = [
-                [c.name.lower() for c in columns].index(k.lower())
-                for k in primary_key
-            ]
-            seen_keys: set[tuple] = set()
-            for row in result.rows:
-                key = tuple(row[p] for p in positions)
-                if key in seen_keys or any(v is None for v in key):
-                    primary_key = []
-                    break
-                seen_keys.add(key)
-        schema = TableSchema(fetch.temp_name, columns, primary_key)
-        table = catalog.create_table(schema)
-        for row in result.rows:
-            table.insert(row)
+            # fetches): fall back to a keyless table rather than failing
+            # the materialisation — the fragment is intermediate state,
+            # not the export itself.
+            catalog.drop_table(fetch.temp_name)
+            catalog.create_table(TableSchema(fetch.temp_name, columns)).load(
+                result.rows
+            )

@@ -47,13 +47,30 @@ class Index:
             self._key_added(key)
             return
         if self.unique and not _key_has_null(key):
-            raise IntegrityError(
-                f"unique index {self.name!r} violation on key {key!r}"
-            )
+            raise self.violation(key)
         position = bisect.bisect_left(rids, rid)
         if position < len(rids) and rids[position] == rid:
             return
         rids.insert(position, rid)
+
+    def load(self, keys: list[Key]) -> None:
+        """Index a bulk-loaded table: ``keys[i]`` is the key of RID ``i + 1``.
+
+        Built in one pass over an empty index.  The table has already
+        refused whatever :meth:`insert` would have refused.
+        """
+        entries = dict(zip(keys, map(list, zip(range(1, len(keys) + 1)))))
+        if len(entries) < len(keys):  # repeated keys share one posting list
+            entries = {}
+            for rid, key in enumerate(keys, 1):
+                entries.setdefault(key, []).append(rid)
+        self._entries = entries
+
+    def violation(self, key: Key) -> IntegrityError:
+        """The error a second row with ``key`` raises in a unique index."""
+        return IntegrityError(
+            f"unique index {self.name!r} violation on key {key!r}"
+        )
 
     def delete(self, key: Key, rid: int) -> None:
         rids = self._entries.get(key)
@@ -98,13 +115,22 @@ class OrderedIndex(Index):
 
     def __init__(self, name: str, table: str, columns: list[str], unique: bool = False):
         super().__init__(name, table, columns, unique)
-        self._sorted_keys: list[tuple[tuple, Key]] = []  # (sortable, key)
+        #: (sortable, key) pairs in key order.  None after a bulk load,
+        #: until the first range scan sorts them: most loaded tables are
+        #: only ever scanned or probed by equality.
+        self._sorted_keys: list[tuple[tuple, Key]] | None = []
+
+    def load(self, keys: list[Key]) -> None:
+        super().load(keys)
+        self._sorted_keys = None
 
     def _key_added(self, key: Key) -> None:
-        item = (_sort_key(key), key)
-        bisect.insort(self._sorted_keys, item)
+        if self._sorted_keys is not None:
+            bisect.insort(self._sorted_keys, (_sort_key(key), key))
 
     def _key_removed(self, key: Key) -> None:
+        if self._sorted_keys is None:
+            return
         item = (_sort_key(key), key)
         position = bisect.bisect_left(self._sorted_keys, item)
         if (
@@ -112,6 +138,13 @@ class OrderedIndex(Index):
             and self._sorted_keys[position][1] == key
         ):
             self._sorted_keys.pop(position)
+
+    def _sorted(self) -> list[tuple[tuple, Key]]:
+        if self._sorted_keys is None:
+            self._sorted_keys = sorted(
+                (_sort_key(key), key) for key in self._entries
+            )
+        return self._sorted_keys
 
     def range_scan(
         self,
@@ -146,16 +179,17 @@ class OrderedIndex(Index):
         low_inclusive: bool,
         high_inclusive: bool,
     ) -> Iterator[Key]:
+        sorted_keys = self._sorted()
         if low is None:
             start = 0
         else:
             sort_low = _sort_key(low)
             if low_inclusive:
-                start = bisect.bisect_left(self._sorted_keys, (sort_low, low))
+                start = bisect.bisect_left(sorted_keys, (sort_low, low))
             else:
-                start = bisect.bisect_right(self._sorted_keys, (sort_low, (_INFINITY,)))
-        for position in range(start, len(self._sorted_keys)):
-            sortable, key = self._sorted_keys[position]
+                start = bisect.bisect_right(sorted_keys, (sort_low, (_INFINITY,)))
+        for position in range(start, len(sorted_keys)):
+            sortable, key = sorted_keys[position]
             if high is not None:
                 sort_high = _sort_key(high)
                 if high_inclusive:

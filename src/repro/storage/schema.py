@@ -2,14 +2,17 @@
 
 from __future__ import annotations
 
+from collections.abc import Sequence
 from dataclasses import dataclass, field
 
 from repro.errors import CatalogError, IntegrityError
-from repro.storage.types import DataType
+from repro.storage.types import CANONICAL_TYPES, DataType, TypeKind
 
 #: A stored row is an immutable tuple of values, positionally matching the
 #: schema's column order.
 Row = tuple[object, ...]
+
+_NULL = type(None)
 
 
 @dataclass(frozen=True)
@@ -28,6 +31,29 @@ class Column:
                 raise IntegrityError(f"column {self.name!r} is NOT NULL")
             return None
         return self.datatype.validate(value)
+
+    def takes_as_is(self, values: Sequence[object]) -> bool:
+        """True when :meth:`validate` returns every value unchanged.
+
+        Read off the set of the values' types: NULL where the column is
+        nullable, and otherwise only the canonical Python type of the
+        column's type (:data:`~repro.storage.types.CANONICAL_TYPES`), within
+        VARCHAR(n)'s length.  ANY takes every value.
+        """
+        kinds = set(map(type, values))
+        if _NULL in kinds:
+            if not self.nullable:
+                return False
+            kinds.discard(_NULL)
+        datatype = self.datatype
+        if not kinds or datatype.kind is TypeKind.ANY:
+            return True
+        if kinds != {CANONICAL_TYPES[datatype.kind]}:
+            return False
+        if datatype.kind is TypeKind.VARCHAR and datatype.params:
+            longest = max(map(len, filter(None, values)), default=0)
+            return longest <= datatype.params[0]
+        return True
 
 
 @dataclass
@@ -91,12 +117,54 @@ class TableSchema:
     def validate_row(self, values: list[object] | Row) -> Row:
         """Validate and coerce a full positional row."""
         if len(values) != len(self.columns):
-            raise IntegrityError(
-                f"table {self.name!r} expects {len(self.columns)} values, "
-                f"got {len(values)}"
-            )
+            raise self._width_error(values)
         return tuple(
             column.validate(value) for column, value in zip(self.columns, values)
+        )
+
+    def validate_rows(self, rows: list) -> tuple[list[Row], Exception | None]:
+        """:meth:`validate_row` over many rows, a column at a time.
+
+        Returns the validated rows before the first row
+        :meth:`validate_row` would refuse, and the error it would raise for
+        that row (None when every row passes).  A column that
+        :meth:`Column.takes_as_is` is left as it is; any other is validated
+        value by value.  When no value needed coercing, ``rows`` itself
+        comes back, not a copy.
+        """
+        width = len(self.columns)
+        error: Exception | None = None
+        if rows and set(map(len, rows)) != {width}:
+            bad = next(i for i, row in enumerate(rows) if len(row) != width)
+            rows, error = rows[:bad], self._width_error(rows[bad])
+        if not rows or not width:
+            return [()] * len(rows), error
+        limit = len(rows)
+        columns = list(zip(*rows))
+        coerced = False
+        for position, column in enumerate(self.columns):
+            values = columns[position][:limit]
+            if column.takes_as_is(values):
+                continue
+            validated = []
+            try:
+                for value in values:
+                    validated.append(column.validate(value))
+            except Exception as exc:  # noqa: BLE001 - handed to the caller
+                # Whatever validate_row raises for the first bad row: it
+                # decides which error comes first, so it is kept, not raised.
+                limit, error = len(validated), exc
+            columns[position] = validated
+            coerced = True
+        if not coerced and set(map(type, rows)) == {tuple}:
+            return rows, error
+        # zip stops at the shortest column: the rows before the first error.
+        return list(zip(*columns)), error
+
+    def _width_error(self, values: list[object] | Row) -> IntegrityError:
+        return IntegrityError(
+            f"table {self.name!r} expects {len(self.columns)} values, "
+            f"got {len(values)}"
         )
 
     def row_from_mapping(self, mapping: dict[str, object]) -> Row:

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 from collections.abc import Iterator
+from operator import itemgetter
 
 from repro.errors import CatalogError, IntegrityError
 from repro.storage.index import HashIndex, Index, OrderedIndex
@@ -96,9 +97,7 @@ class Table:
         row = self.schema.validate_row(values)
         key = self.schema.key_of(row)
         if key is not None and any(value is None for value in key):
-            raise IntegrityError(
-                f"primary key of {self.name!r} cannot contain NULL"
-            )
+            raise self._null_key_error()
         rid = self.next_rid
         self.next_rid += 1
         # Insert into indexes first so unique violations abort cleanly.
@@ -117,6 +116,33 @@ class Table:
         self.rows[rid] = row
         return rid
 
+    def load(self, rows: list[Row]) -> None:
+        """Insert many rows into this fresh table at once.
+
+        Stores what :meth:`insert` on each row in turn would store, under
+        RIDs 1..n, or raises the error the first refused insert would
+        raise and stores nothing.  Rows are validated a column at a time
+        (:meth:`TableSchema.validate_rows`), unique keys are checked with
+        one set per index, and each index is built once from the finished
+        rows.
+        """
+        if self.next_rid != 1:
+            raise IntegrityError(f"table {self.name!r} is not fresh")
+        rows, error = self.schema.validate_rows(rows)
+        index_keys = [
+            (index, self._index_keys(index, rows))
+            for index in self.indexes.values()
+        ]
+        # Every row the key checks see passed validation, so a key error
+        # belongs to an earlier row than any validation error.
+        error = self._key_error(rows, index_keys) or error
+        if error is not None:
+            raise error
+        self.rows.update(zip(range(1, len(rows) + 1), rows))
+        self.next_rid = len(rows) + 1
+        for index, keys in index_keys:
+            index.load(keys)
+
     def delete(self, rid: int) -> Row:
         """Remove a row by RID; returns the old row (for undo logging)."""
         row = self.get(rid)
@@ -131,9 +157,7 @@ class Table:
         new_row = self.schema.validate_row(new_values)
         key = self.schema.key_of(new_row)
         if key is not None and any(value is None for value in key):
-            raise IntegrityError(
-                f"primary key of {self.name!r} cannot contain NULL"
-            )
+            raise self._null_key_error()
         for index in self.indexes.values():
             index.delete(self._index_key(index, old_row), rid)
         try:
@@ -231,3 +255,42 @@ class Table:
     def _index_key(self, index: Index, row: Row) -> tuple:
         positions = [self.schema.column_index(c) for c in index.columns]
         return tuple(row[p] for p in positions)
+
+    def _index_keys(self, index: Index, rows: list[Row]) -> list[tuple]:
+        """``index``'s key of every row, in row order, built column-wise."""
+        positions = [self.schema.column_index(c) for c in index.columns]
+        return list(zip(*(map(itemgetter(p), rows) for p in positions)))
+
+    def _key_error(
+        self, rows: list[Row], index_keys: list[tuple[Index, list[tuple]]]
+    ) -> IntegrityError | None:
+        """The key error inserting ``rows`` in turn would raise first, if any.
+
+        A NULL test per primary-key column and one set per unique index
+        settle the common case; only a clash walks the rows to find the
+        first offender.
+        """
+        positions = self.schema.primary_key_positions
+        if not any(
+            None in map(itemgetter(p), rows) for p in positions
+        ) and all(
+            len(set(keys)) == len(keys)
+            for index, keys in index_keys
+            if index.unique
+        ):
+            return None
+        seen: list[set[tuple]] = [set() for _ in index_keys]
+        for position, row in enumerate(rows):
+            if any(row[p] is None for p in positions):
+                return self._null_key_error()
+            for (index, keys), keys_seen in zip(index_keys, seen):
+                key = keys[position]
+                if index.unique and key in keys_seen and None not in key:
+                    return index.violation(key)
+                keys_seen.add(key)
+        return None
+
+    def _null_key_error(self) -> IntegrityError:
+        return IntegrityError(
+            f"primary key of {self.name!r} cannot contain NULL"
+        )

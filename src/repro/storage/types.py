@@ -254,6 +254,18 @@ _COERCERS = {
     TypeKind.TIMESTAMP: _coerce_timestamp,
 }
 
+#: The Python type each kind's coercion returns unchanged.  Matched with
+#: ``type(v) is``: a ``bool`` is no INTEGER and a ``datetime`` no DATE.
+CANONICAL_TYPES: dict[TypeKind, type] = {
+    TypeKind.INTEGER: int,
+    TypeKind.FLOAT: float,
+    TypeKind.DECIMAL: Decimal,
+    TypeKind.VARCHAR: str,
+    TypeKind.BOOLEAN: bool,
+    TypeKind.DATE: datetime.date,
+    TypeKind.TIMESTAMP: datetime.datetime,
+}
+
 
 def infer_type(value: object) -> DataType:
     """Infer a :class:`DataType` for a Python value (used for literals)."""

@@ -19,6 +19,7 @@ import threading
 import pytest
 
 from repro.cache import FragmentCache, LRUCache, PlanCache
+from repro.cache.fragments import CachedFragment
 from repro.myriad import MyriadSystem
 from repro.workloads import build_bank_sites
 
@@ -66,6 +67,29 @@ class TestFragmentCacheHits:
         analyzed = second.explain_analyze()
         assert "cached" in analyzed
         assert all(actual.cached for actual in second.fetch_actuals.values())
+
+    def test_hits_hand_over_the_stored_rows_unchanged(self, bank, monkeypatch):
+        stored, served = [], []
+        store, materialize = FragmentCache.store, CachedFragment.materialize
+
+        def spy_store(self, *args, **kwargs):
+            stored.append(args[6])  # the rows
+            return store(self, *args, **kwargs)
+
+        def spy_materialize(self):
+            rows = materialize(self)
+            served.append(rows)
+            return rows
+
+        monkeypatch.setattr(FragmentCache, "store", spy_store)
+        monkeypatch.setattr(CachedFragment, "materialize", spy_materialize)
+        first = bank.query("bank", BALANCES)
+        snapshots = [list(rows) for rows in stored]
+        second = bank.query("bank", BALANCES)
+        assert second.rows == first.rows
+        assert len(served) == len(stored) == 3
+        assert all(any(s is r for r in stored) for s in served)
+        assert stored == snapshots
 
     def test_distinct_fragments_cached_separately(self, bank):
         bank.query("bank", BALANCES)

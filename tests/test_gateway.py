@@ -398,3 +398,31 @@ class TestPushdownThroughExports:
         assert all(a.cached for a in again.fetch_actuals.values())
         assert all(a.scanned is None for a in again.fetch_actuals.values())
         assert "scanned=" not in again.explain_analyze()
+
+
+class TestNormalizeRows:
+    """Shipped rows are canonicalised a column at a time."""
+
+    def test_rows_without_decimals_come_back_untouched(self):
+        from repro.gateway.gateway import _normalize_rows
+
+        rows = [(1, "a", 2.5, None), (2, "b", 3.0, True)]
+        assert _normalize_rows(rows) is rows
+        assert _normalize_rows([]) == []
+
+    def test_decimal_columns_match_value_by_value_normalisation(self):
+        from decimal import Decimal
+
+        from repro.gateway.gateway import _normalize_rows, _normalize_value
+
+        rows = [
+            (1, Decimal("2.50"), "x", Decimal("7")),
+            (2, None, "y", Decimal("-3.0")),
+            (3, Decimal("4"), None, None),
+        ]
+        expected = [tuple(map(_normalize_value, row)) for row in rows]
+        got = _normalize_rows(rows)
+        assert got == expected
+        assert [list(map(type, row)) for row in got] == [
+            list(map(type, row)) for row in expected
+        ]

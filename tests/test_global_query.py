@@ -91,6 +91,59 @@ class TestOptimizerEquivalence:
             ), f"{optimizer} differs on {sql}"
 
 
+@pytest.fixture
+def priced():
+    """The same DECIMAL(10,2) prices at a postgres and an oracle site."""
+    sys_ = MyriadSystem()
+    for site, add in (("p", sys_.add_postgres), ("o", sys_.add_oracle)):
+        gateway = add(site)
+        gateway.dbms.execute(
+            "CREATE TABLE item (id INTEGER PRIMARY KEY, price DECIMAL(10,2))"
+        )
+        gateway.dbms.execute("INSERT INTO item VALUES (1, 1500.00)")
+        gateway.dbms.execute("INSERT INTO item VALUES (2, 2.50)")
+        gateway.export_table("item", "item", ["id", "price"])
+    fed = sys_.create_federation("f")
+    fed.add_relation(
+        union_merge(
+            "items",
+            [("p", "item", ["id", "price"]), ("o", "item", ["id", "price"])],
+            source_tag_column="site",
+        )
+    )
+    return sys_
+
+
+class TestResultTypes:
+    """A shipped aggregate's column is typed like the column it reads, so
+    whether the optimizer pushes the aggregate does not change a value's
+    Python type (MAX(price) used to be 1500 under one, 1500.0 under the
+    other)."""
+
+    @pytest.mark.parametrize(
+        "sql",
+        [
+            "SELECT MAX(price) FROM items",
+            "SELECT site, MAX(price) FROM items GROUP BY site ORDER BY site",
+            "SELECT MIN(price), SUM(price), COUNT(price) FROM items",
+        ],
+    )
+    def test_every_optimizer_returns_the_same_types(self, priced, sql):
+        def typed(optimizer):
+            rows = priced.query("f", sql, optimizer=optimizer).rows
+            return [[(value, type(value)) for value in row] for row in rows]
+
+        reference = typed("simple")
+        assert reference and all(
+            kind is not int
+            for row in reference
+            for value, kind in row
+            if value in (1500, 2.5)
+        )
+        for optimizer in ("cost", "cost-noaggpush"):
+            assert typed(optimizer) == reference, optimizer
+
+
 class TestPushdown:
     def test_selection_pushdown_reduces_bytes(self, system):
         sql = "SELECT name FROM all_emp WHERE sal > 2900"

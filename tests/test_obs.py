@@ -1,8 +1,11 @@
 """Observability tests: tracer, metrics, system wiring, EXPLAIN ANALYZE."""
 
 import threading
+from decimal import Decimal
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro import MyriadSystem
 from repro.engine import ResultSet
@@ -20,7 +23,15 @@ from repro.obs import (
 )
 from repro.query.executor import GlobalResult
 from repro.query.localizer import Fetch
-from repro.storage import Catalog
+from repro.storage import (
+    FLOAT,
+    INTEGER,
+    Catalog,
+    Column,
+    Index,
+    Table,
+    TableSchema,
+)
 from repro.workloads import build_bank_sites, build_two_site_join
 
 JOIN_SQL = (
@@ -598,3 +609,74 @@ class TestRegisterFragmentDuplicates:
         table = catalog.get_table("__frag_lhs")
         assert len(table) == 2
         assert [k.lower() for k in table.schema.primary_key] == ["k"]
+
+
+def _register_per_row(rows):
+    """The per-row registration the bulk load replaced: pre-scan the raw
+    keys for duplicates or NULLs, then ``Table.insert`` every row."""
+    columns = [Column("k", INTEGER), Column("flt", FLOAT)]
+    keys = [row[0] for row in rows]
+    keyed = None not in keys and len(set(keys)) == len(keys)
+    table = Table(TableSchema("ref", columns, ["k"] if keyed else []))
+    for row in rows:
+        table.insert(row)
+    return table
+
+
+def _registration(register):
+    try:
+        table = register()
+    except Exception as error:
+        return ("error", type(error), str(error))
+    rows = [row for _, row in table.scan()]
+    return rows, [tuple(map(type, row)) for row in rows], table.schema.primary_key
+
+
+class TestRegisterFragmentBulk:
+    """The bulk load against the per-row registration it replaced."""
+
+    # Key values that collide in a set (1, 1.0, True; 0, False), a NULL
+    # and a non-integral float; FLOAT values of every coercible type.
+    KEYS = st.sampled_from([None, 0, False, 1, 1.0, True, 2, 2.0, 2.5, "3"])
+    FLTS = st.sampled_from([None, 0.5, 1, True, "0.25", "x", Decimal("1.5")])
+
+    def test_matches_per_row_registration(self):
+        executor, fetch = TestRegisterFragmentDuplicates()._executor_and_fetch()
+
+        @settings(max_examples=300, deadline=None)
+        @given(st.lists(st.tuples(self.KEYS, self.FLTS), max_size=8))
+        def check(rows):
+            catalog = Catalog("test")
+
+            def bulk():
+                executor._register_fragment(
+                    catalog, fetch, ResultSet(["k", "flt"], rows)
+                )
+                return catalog.get_table("__frag_lhs")
+
+            assert _registration(bulk) == _registration(
+                lambda: _register_per_row(rows)
+            )
+
+        check()
+
+    def test_canonical_fragment_takes_no_per_row_path(self, monkeypatch):
+        executor, fetch = TestRegisterFragmentDuplicates()._executor_and_fetch()
+
+        def refuse(*args, **kwargs):
+            raise AssertionError("per-row path taken")
+
+        for owner, name in (
+            (Table, "insert"),
+            (TableSchema, "validate_row"),
+            (Column, "validate"),
+            (Index, "insert"),
+        ):
+            monkeypatch.setattr(owner, name, refuse)
+        rows = [(k, k / 1000) for k in range(1000)]
+        catalog = Catalog("test")
+        executor._register_fragment(catalog, fetch, ResultSet(["k", "flt"], rows))
+        table = catalog.get_table("__frag_lhs")
+        assert table.schema.primary_key == ["k"]
+        assert all(a is b for a, b in zip(table.rows.values(), rows))
+        assert table.fetch_by_key((7,)) == (8, (7, 0.007))

@@ -1,20 +1,33 @@
 """Storage-engine tests: schemas, tables, indexes, catalog, stats."""
 
+import datetime
+from decimal import Decimal
+
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.errors import CatalogError, IntegrityError
 from repro.storage import (
+    BOOLEAN,
+    DATE,
+    DECIMAL,
+    FLOAT,
+    TIMESTAMP,
     Catalog,
     Column,
+    DataType,
     HashIndex,
     INTEGER,
     OrderedIndex,
     Table,
     TableSchema,
+    TypeKind,
     VARCHAR,
     analyze_table,
 )
 from repro.storage.stats import analyze_rows
+from repro.storage.types import ANY
 
 
 def make_schema(name="t", pk=("id",)):
@@ -246,6 +259,143 @@ class TestIndexes:
         index.insert((2,), 3)
         assert index.distinct_keys == 2
         assert len(index) == 3
+
+
+_TYPES = [
+    INTEGER,
+    FLOAT,
+    DECIMAL,
+    VARCHAR,
+    DataType(TypeKind.VARCHAR, (3,)),
+    BOOLEAN,
+    DATE,
+    TIMESTAMP,
+    ANY,
+]
+#: Few distinct values, so keys collide (1, 1.0, True) and coercions both
+#: succeed ("1" into INTEGER, a date string into DATE) and fail.
+_VALUES = st.one_of(
+    st.none(),
+    st.booleans(),
+    st.integers(-2, 2),
+    st.sampled_from([0.0, 1.0, 1.5, -2.0]),
+    st.sampled_from([Decimal("1"), Decimal("2.50")]),
+    st.sampled_from(["", "1", "ab", "abcd", "true", "2024-01-02"]),
+    st.just(datetime.date(2024, 1, 2)),
+    st.just(datetime.datetime(2024, 1, 2, 3, 4)),
+)
+
+
+@st.composite
+def _loads(draw):
+    """A fresh table's schema (maybe keyed, maybe a unique index) + rows."""
+    width = draw(st.integers(1, 3))
+    key_width = draw(st.integers(0, width))
+    unique = draw(st.sampled_from([None, "hash", "ordered"]))
+    # ANY holds mixed types, which an ordered index cannot sort: it is
+    # only ever an unindexed column (a shipped block's computed output).
+    indexed = set(range(key_width)) | ({width - 1} if unique else set())
+    columns = [
+        Column(
+            f"c{i}",
+            draw(st.sampled_from(_TYPES[:-1] if i in indexed else _TYPES)),
+            draw(st.booleans()),
+        )
+        for i in range(width)
+    ]
+    schema = TableSchema("t", columns, [c.name for c in columns[:key_width]])
+    row = st.lists(_VALUES, min_size=width, max_size=width)
+    rows = draw(st.lists(row, max_size=8))
+    if rows and draw(st.integers(0, 9)) == 0:  # one row of the wrong width
+        rows.insert(draw(st.integers(0, len(rows))), [None] * (width + 1))
+    as_tuples = draw(st.booleans())
+    return schema, unique, [tuple(r) if as_tuples else r for r in rows]
+
+
+def _fresh_table(schema, unique):
+    table = Table(schema)
+    if unique is not None:
+        table.create_index(
+            "u", [schema.columns[-1].name], unique=True,
+            ordered=unique == "ordered",
+        )
+    return table
+
+
+def _outcome(table, fill):
+    """Rows with their Python types and every index's postings, or the
+    error raised."""
+    try:
+        fill(table)
+    except Exception as error:
+        return ("error", type(error), str(error))
+    return (
+        "rows",
+        [(rid, row, tuple(map(type, row))) for rid, row in table.scan()],
+        table.next_rid,
+        {
+            name: (
+                {key: index.sorted_rids(key) for key in index._entries},
+                list(index.range_scan_sorted())
+                if isinstance(index, OrderedIndex)
+                else None,
+            )
+            for name, index in table.indexes.items()
+        },
+    )
+
+
+def _insert_each(rows):
+    def fill(table):
+        for row in rows:
+            table.insert(row)
+
+    return fill
+
+
+class TestBulkLoad:
+    """``Table.load`` against ``Table.insert`` on each row in turn."""
+
+    @settings(max_examples=500, deadline=None)
+    @given(_loads())
+    def test_matches_per_row_insert(self, load):
+        schema, unique, rows = load
+        expected = _outcome(_fresh_table(schema, unique), _insert_each(rows))
+        table = _fresh_table(schema, unique)
+        assert _outcome(table, lambda t: t.load(rows)) == expected
+        if expected[0] == "error":
+            assert len(table) == 0 and table.next_rid == 1
+
+    def test_canonical_rows_are_stored_as_given(self):
+        rows = [(i, f"n{i}", i % 3) for i in range(50)]
+        table = Table(make_schema())
+        table.load(rows)
+        assert all(a is b for a, b in zip(table.rows.values(), rows))
+        assert table.fetch_by_key((7,)) == (8, rows[7])
+
+    def test_duplicate_key_names_the_first_clash(self):
+        table = Table(make_schema())
+        with pytest.raises(IntegrityError, match=r"violation on key \(1,\)"):
+            table.load([(1, "a", 1), (2, "b", 2), (1.0, "c", 3)])
+        assert len(table) == 0
+
+    def test_only_a_fresh_table_loads(self):
+        table = Table(make_schema())
+        table.insert([1, "a", 1])
+        table.delete(1)
+        with pytest.raises(IntegrityError):
+            table.load([(2, "b", 2)])
+
+    def test_loaded_ordered_index_sorts_on_first_range_scan(self):
+        table = Table(make_schema())
+        table.load([(k, None, None) for k in (5, 1, 3)])
+        index = table.indexes["__pk_t"]
+        assert [k for k, _ in index.range_scan((2,), None)] == [(3,), (5,)]
+        table.insert([4, None, None])
+        table.delete(2)  # the row keyed 1
+        assert [k for k, _ in index.range_scan(None, None)] == [
+            (3,), (4,), (5,)
+        ]
 
 
 class TestCatalog:
