@@ -150,9 +150,10 @@ class TableSchema:
             try:
                 for value in values:
                     validated.append(column.validate(value))
-            except Exception as exc:  # noqa: BLE001 - handed to the caller
-                # Whatever validate_row raises for the first bad row: it
-                # decides which error comes first, so it is kept, not raised.
+            except Exception as exc:
+                # Whatever validate_row would raise for this row.  A later
+                # column may still fail on an earlier row, which would then
+                # come first, so the error is returned, not raised here.
                 limit, error = len(validated), exc
             columns[position] = validated
             coerced = True
