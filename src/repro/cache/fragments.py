@@ -19,31 +19,32 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from repro.cache.lru import LRUCache
+from repro.storage.fragment import Fragment
 
 
 @dataclass
 class CachedFragment:
     """One cached shipped fragment plus the data version it reflects.
 
-    The payload is either plain ``rows`` or the wire-encoded fragment the
-    gateway shipped (``encoded``) — warm entries then hold compressed
-    bytes and decode on hit.
+    The payload is either the shipped :class:`Fragment` itself or the
+    wire-encoded form the gateway shipped (``encoded``) — warm entries
+    then hold compressed bytes and decode on hit.
     """
 
     columns: list[str]
-    rows: list[tuple] | None
+    fragment: Fragment | None
     version: tuple
     #: :class:`repro.net.codec.EncodedFragment` when stored compressed.
     encoded: object = None
 
-    def materialize(self) -> list[tuple]:
-        """The fragment's rows: the stored list itself (registration never
-        mutates it), or the encoded payload decoded on demand."""
+    def materialize(self) -> Fragment:
+        """The fragment: the stored one itself (nothing downstream mutates
+        its columns), or the encoded payload decoded on demand."""
         if self.encoded is not None:
             from repro.net.codec import decode_fragment
 
             return decode_fragment(self.encoded)
-        return self.rows
+        return self.fragment
 
 
 class FragmentCache:
@@ -98,8 +99,7 @@ class FragmentCache:
         sql_text: str,
         fetched_at_version: tuple,
         current_version: tuple,
-        columns: list[str],
-        rows: list[tuple],
+        fragment: Fragment,
         encoded: object = None,
         codec: str = "",
     ) -> bool:
@@ -109,18 +109,19 @@ class FragmentCache:
         fetch; if it changed by the time the rows arrived (a concurrent
         commit), the fragment may already be stale and is not stored.
         With ``encoded`` (the wire-encoded payload the gateway shipped)
-        the entry holds compressed bytes instead of rows.
+        the entry holds compressed bytes instead of the fragment.
         """
         if fetched_at_version != current_version:
             return False
+        columns = list(fragment.names)
         if encoded is not None:
             entry = CachedFragment(
-                list(columns), None, fetched_at_version, encoded=encoded
+                columns, None, fetched_at_version, encoded=encoded
             )
             self.bytes_raw += encoded.raw_bytes
             self.bytes_wire += encoded.wire_bytes
         else:
-            entry = CachedFragment(list(columns), rows, fetched_at_version)
+            entry = CachedFragment(columns, fragment, fetched_at_version)
         self._lru.put(self.key(site, export, sql_text, codec), entry)
         return True
 

@@ -16,15 +16,31 @@ makes an InnoDB-style read view cheap to bolt on top:
   falling back to the pending marker's committed value, falling back to the
   live heap.
 
+A scan does not resolve every RID that way.  One test, shared by sequential
+and index scans, asks whether the live heap *is* the snapshot's view of a
+table: no uncommitted writer holds a marker on it and no commit stamped
+after the snapshot wrote it (``LocalTransactionManager.table_commit_ts``).
+Then a scan reads the live heap in RID order in one pass.  Otherwise only
+:meth:`Snapshot.changed_rids` is resolved per RID and patched into the heap
+copy.  :meth:`Snapshot.visible_items` is the per-RID reference both paths
+must agree with; the transaction manager counts which path each scan took
+(``heap_scans`` / ``patched_scans``).
+
 Readers take **no locks** and touch **no WAL**: version chains are immutable
 tuples replaced wholesale (publish and GC swap the whole tuple under the
 transaction manager's mutex), so a reader holding a stale tuple still sees a
 consistent committed prefix.  Chains are pruned against the oldest active
-snapshot on every publish and by a periodic vacuum.
+snapshot on every publish and by a periodic vacuum.  A scan copies the heap
+under :meth:`Table.consistent_read`, which reads again when a writer
+registered a pending marker meanwhile, and :func:`visible_value` reads a
+RID's marker before its chain, the reverse of the order a commit writes
+them in.
 """
 
 from __future__ import annotations
 
+import bisect
+from operator import itemgetter
 from typing import TYPE_CHECKING, Iterator
 
 from repro.storage.schema import Row
@@ -44,7 +60,11 @@ def visible_value(table: "Table", rid: int, ts: int) -> Row | None:
     """The committed value of ``rid`` as of commit timestamp ``ts``.
 
     Returns ``None`` when the row did not exist (or was deleted) at ``ts``.
+    The pending marker is read before the chain: a commit publishes the
+    chain before it drops the marker, so a reader racing it finds one or
+    the other, never neither (and so never the new heap value).
     """
+    marker = table.uncommitted.get(rid)
     chain = table.versions.get(rid)
     if chain is not None:
         value = _MISSING
@@ -59,7 +79,6 @@ def visible_value(table: "Table", rid: int, ts: int) -> Row | None:
         # was pruned: only possible for snapshots older than the GC horizon,
         # which registered snapshots never are.
         return None
-    marker = table.uncommitted.get(rid)
     if marker is not None:
         return marker[1]
     return table.rows.get(rid)
@@ -120,8 +139,29 @@ class Snapshot:
         """The value of ``rid`` visible to this snapshot, or ``None``."""
         return visible_value(table, rid, self.ts)
 
+    def visible_rows(self, table: "Table") -> list[Row]:
+        """The rows of ``table`` visible to this snapshot, in RID order.
+
+        The live heap in one pass when :meth:`changed_rids` is empty;
+        otherwise the heap with only the changed RIDs resolved and patched
+        in (under :meth:`Table.consistent_read`).
+        """
+        return table.consistent_read(lambda: self._visible_rows(table))
+
+    def _visible_rows(self, table: "Table") -> list[Row]:
+        changed = self.changed_rids(table)
+        if not changed:
+            return table.heap_rows()
+        items = [item for item in table.heap_items() if item[0] not in changed]
+        for rid in sorted(changed):
+            row = visible_value(table, rid, self.ts)
+            if row is not None:
+                bisect.insort(items, (rid, row), key=itemgetter(0))
+        return [row for _, row in items]
+
     def visible_items(self, table: "Table") -> Iterator[tuple[int, Row]]:
-        """Yield visible ``(rid, row)`` pairs in RID (insertion) order."""
+        """Yield visible ``(rid, row)`` pairs in RID (insertion) order,
+        resolving every RID on its own: the reference for the scans."""
         candidates = set(table.rows)
         if table.versions:
             candidates.update(table.versions)
@@ -138,8 +178,12 @@ class Snapshot:
         The union of uncommitted-writer markers and chains whose newest
         entry postdates the snapshot — exactly the RIDs an index scan must
         re-check against visible values (the set is small: GC bounds it by
-        the churn since the oldest active snapshot).
+        the churn since the oldest active snapshot).  Empty, without
+        looking at a single chain, when the live heap is this snapshot's
+        view (:meth:`LocalTransactionManager.heap_is_visible`).
         """
+        if self.manager.heap_is_visible(table, self.ts):
+            return set()
         changed = set(table.uncommitted)
         for rid, chain in list(table.versions.items()):
             if chain and chain[-1][0] > self.ts:

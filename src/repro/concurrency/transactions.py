@@ -89,6 +89,10 @@ class LocalTransactionManager:
         # Experiment counters, guarded by _mutex (sessions are concurrent).
         self.commits = 0
         self.aborts = 0
+        #: Snapshot scans that read the live heap in one pass, and those
+        #: that patched changed RIDs into it (see heap_is_visible).
+        self.heap_scans = 0
+        self.patched_scans = 0
 
     # ------------------------------------------------------------------
     # Lifecycle
@@ -214,6 +218,26 @@ class LocalTransactionManager:
         """Commit timestamp of the last committed write to ``table_name``."""
         with self._mutex:
             return self._table_commit_ts.get(table_name.lower(), 0)
+
+    def heap_is_visible(self, table: Table, ts: int) -> bool:
+        """Whether the live heap of ``table`` is the read view at ``ts``.
+
+        True when no uncommitted writer holds a pending marker on the table
+        and no commit stamped after ``ts`` wrote it.  The one test both
+        snapshot scans (sequential and index) make; counted per outcome.
+        Read under the mutex that publishes versions, so a commit is seen
+        either whole (its stamp) or not at all (its markers).
+        """
+        with self._mutex:
+            visible = (
+                not table.uncommitted
+                and self._table_commit_ts.get(table.name.lower(), 0) <= ts
+            )
+            if visible:
+                self.heap_scans += 1
+            else:
+                self.patched_scans += 1
+        return visible
 
     def _publish_versions_locked(
         self, txn: LocalTransaction, commit_ts: int

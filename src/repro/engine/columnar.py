@@ -49,12 +49,14 @@ from repro.engine.expressions import (
 )
 from repro.errors import ExecutionError
 from repro.sql import ast
+from repro.storage.fragment import Fragment
 from repro.storage.types import tv_and, tv_not, tv_or
 
 __all__ = [
     "Batch",
     "ColumnBlock",
     "compile_expr",
+    "run_batch",
     "run_vectorized",
     "vectorize",
 ]
@@ -553,9 +555,14 @@ class VecMaterialize(VecNode):
 
     def batch(self, ctx):
         op = self.op
+        if type(op) is ops.FragmentScan and not op.probes:
+            # Already columnar: read in place.
+            fragment = op.fragment
+            ctx.rows_scanned += fragment.length
+            return Batch(self.schema, fragment.columns, fragment.length)
         if type(op) is ops.SeqScan:
             if ctx.snapshot is not None:
-                data = [row for _, row in ctx.snapshot.visible_items(op.table)]
+                data = ctx.snapshot.visible_rows(op.table)
             else:
                 data = list(op.table.rows.values())
             ctx.rows_scanned += len(data)
@@ -1181,7 +1188,7 @@ def vectorize(plan: ops.Operator) -> VecNode:
 
 
 def _vectorize_children(op: ops.Operator) -> None:
-    if isinstance(op, (ops.SeqScan, ops.IndexScan, ops.ValuesScan)):
+    if isinstance(op, ops.LEAVES):
         return
     for attr in ("child", "left", "right"):
         child = getattr(op, attr, None)
@@ -1240,10 +1247,25 @@ def _apply_pruning(node: VecNode, needed: set[int] | None) -> None:
     # VecMaterialize: row operators build full rows regardless.
 
 
-def run_vectorized(plan: ops.Operator, ctx: ops.ExecContext) -> list[tuple]:
-    """Execute a planned query batch-at-a-time; returns the result rows."""
+def run_batch(
+    plan: ops.Operator, ctx: ops.ExecContext
+) -> Fragment | list[tuple]:
+    """Execute a planned query batch-at-a-time.
+
+    Returns the final batch as a :class:`Fragment`, or the rows themselves
+    when a row operator sits at the root (nothing to transpose).
+    """
     vec = vectorize(plan)
     if type(vec) is VecMaterialize:
         return list(vec.op.rows(ctx))
     _apply_pruning(vec, None)
-    return vec.batch(ctx).to_rows()
+    batch = vec.batch(ctx)
+    return Fragment(
+        [column.name for column in plan.schema], batch.columns, batch.length
+    )
+
+
+def run_vectorized(plan: ops.Operator, ctx: ops.ExecContext) -> list[tuple]:
+    """Execute a planned query batch-at-a-time; returns the result rows."""
+    result = run_batch(plan, ctx)
+    return result.rows() if isinstance(result, Fragment) else result

@@ -14,7 +14,7 @@ from __future__ import annotations
 
 import datetime
 import threading
-from collections.abc import Callable
+from collections.abc import Callable, Mapping
 from dataclasses import dataclass
 
 from repro.errors import CatalogError, ExecutionError
@@ -29,36 +29,77 @@ from repro.engine.expressions import (
 from repro.engine.planner import LocalPlanner, _RecordingScope, prefers_batch
 from repro.sql import ast, parse_statement
 from repro.storage.catalog import Catalog
+from repro.storage.fragment import Fragment
 from repro.storage.schema import Column, Row, TableSchema
 from repro.storage.table import Table
 from repro.storage.types import DataType
 
 
-@dataclass
 class ResultSet:
-    """Query result: column names plus materialised rows."""
+    """Query result: column names plus rows.
 
-    columns: list[str]
-    rows: list[tuple]
+    Held as rows, or as the columnar :class:`Fragment` a batch plan
+    produces; either form is derived from the other on first use.
+    """
+
+    def __init__(
+        self,
+        columns: list[str],
+        rows: list[tuple] | None = None,
+        fragment: Fragment | None = None,
+    ):
+        self.columns = columns
+        self._rows = rows
+        self._fragment = fragment
+
+    @classmethod
+    def of(cls, fragment: Fragment) -> "ResultSet":
+        """A result held as ``fragment``."""
+        return cls(list(fragment.names), fragment=fragment)
+
+    @property
+    def rows(self) -> list[tuple]:
+        if self._rows is None:
+            self._rows = self._fragment.rows()
+        return self._rows
+
+    @property
+    def fragment(self) -> Fragment:
+        """The result a column at a time."""
+        if self._fragment is None:
+            self._fragment = Fragment.from_rows(self.columns, self._rows)
+        return self._fragment
+
+    def __eq__(self, other: object) -> bool:
+        if not isinstance(other, ResultSet):
+            return NotImplemented
+        return self.columns == other.columns and self.rows == other.rows
+
+    def __repr__(self) -> str:
+        return f"ResultSet(columns={self.columns!r}, rows={self.rows!r})"
 
     def __iter__(self):
         return iter(self.rows)
 
     def __len__(self) -> int:
-        return len(self.rows)
+        if self._rows is None:
+            return self._fragment.length
+        return len(self._rows)
 
     def to_dicts(self) -> list[dict[str, object]]:
         return [dict(zip(self.columns, row)) for row in self.rows]
 
     def scalar(self) -> object:
         """The single value of a 1x1 result."""
-        if len(self.rows) != 1 or len(self.columns) != 1:
+        if len(self) != 1 or len(self.columns) != 1:
             raise ExecutionError(
-                f"expected 1x1 result, got {len(self.rows)}x{len(self.columns)}"
+                f"expected 1x1 result, got {len(self)}x{len(self.columns)}"
             )
         return self.rows[0][0]
 
     def column(self, name: str) -> list[object]:
+        if self._rows is None:
+            return self._fragment.column(name)
         try:
             position = [c.lower() for c in self.columns].index(name.lower())
         except ValueError:
@@ -192,20 +233,24 @@ class LocalEngine:
         outer: Scope | None = None,
         outer_rows: tuple[tuple, ...] = (),
         snapshot=None,
+        fragments: Mapping[str, Fragment] | None = None,
     ) -> ResultSet:
+        """Run one query.  ``fragments`` (lower-cased name → fragment) are
+        extra relations the query reads in place, ahead of the catalog."""
         mutator = mutator or self.mutator
         if snapshot is None:
             self._lock_query_tables(query, mutator)
-        plan = self.planner.plan_query(query, outer)
-        env = self._make_env(mutator, snapshot)
+        planner = LocalPlanner(self.catalog, fragments) if fragments else self.planner
+        plan = planner.plan_query(query, outer)
+        env = self._make_env(mutator, snapshot, planner)
         ctx = ops.ExecContext(
             env=env, outer_rows=outer_rows, snapshot=snapshot
         )
-        rows, strategy = _run_plan(plan, ctx)
+        result, strategy = _run_plan(plan, ctx)
         self.last_report = ExecutionReport(
-            ctx.rows_scanned + env.rows_scanned, len(rows), strategy
+            ctx.rows_scanned + env.rows_scanned, len(result), strategy
         )
-        return ResultSet([c.name for c in plan.schema], rows)
+        return result
 
     def explain(self, query: str | ast.Query) -> str:
         """The physical plan as a readable tree."""
@@ -220,7 +265,10 @@ class LocalEngine:
     # Environment / subqueries
     # ------------------------------------------------------------------
 
-    def _make_env(self, mutator: Mutator, snapshot=None) -> EvalEnv:
+    def _make_env(
+        self, mutator: Mutator, snapshot=None, planner: LocalPlanner | None = None
+    ) -> EvalEnv:
+        planner = planner or self.planner
         env = EvalEnv(functions=dict(self.functions), now=self._now())
         cache: dict[int, list[tuple]] = {}
 
@@ -230,7 +278,7 @@ class LocalEngine:
             if snapshot is None:
                 self._lock_query_tables(query, mutator)
             recorder = _RecordingScope(scope)
-            plan = self.planner.plan_query(query, recorder)
+            plan = planner.plan_query(query, recorder)
             key = id(query)
             # Plan once per call; cache results only for uncorrelated
             # subqueries (no outer resolution happened while planning and
@@ -241,7 +289,7 @@ class LocalEngine:
             ctx = ops.ExecContext(
                 env=env, outer_rows=outer_rows, snapshot=snapshot
             )
-            rows, _ = _run_plan(plan, ctx)
+            rows = _run_plan(plan, ctx)[0].rows
             env.rows_scanned += ctx.rows_scanned
             if not recorder.consulted:
                 cache[key] = rows
@@ -393,16 +441,20 @@ class LocalEngine:
 
 def _run_plan(
     plan: ops.Operator, ctx: ops.ExecContext
-) -> tuple[list[tuple], str]:
+) -> tuple[ResultSet, str]:
     """Execute a planned query on the strategy the planner's size rule
-    picks (:func:`~repro.engine.planner.prefers_batch`); returns the rows
+    picks (:func:`~repro.engine.planner.prefers_batch`); returns the result
     and ``"batch"`` or ``"row"``.  Both give identical rows in identical
-    order and identical ``rows_scanned``."""
+    order and identical ``rows_scanned``; a batch result stays columnar."""
+    names = [column.name for column in plan.schema]
     if prefers_batch(plan):
-        from repro.engine.columnar import run_vectorized
+        from repro.engine.columnar import run_batch
 
-        return run_vectorized(plan, ctx), "batch"
-    return list(plan.rows(ctx)), "row"
+        result = run_batch(plan, ctx)
+        if isinstance(result, Fragment):
+            return ResultSet.of(result), "batch"
+        return ResultSet(names, result), "batch"
+    return ResultSet(names, list(plan.rows(ctx))), "row"
 
 
 def _bind_parameters(

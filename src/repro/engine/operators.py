@@ -26,6 +26,7 @@ from repro.engine.expressions import (
     compare_values,
 )
 from repro.sql import ast
+from repro.storage.fragment import Fragment
 from repro.storage.table import Table
 from repro.storage.types import null_first_key
 
@@ -85,7 +86,7 @@ class SeqScan(Operator):
 
     def rows(self, ctx: ExecContext) -> Iterator[tuple]:
         if ctx.snapshot is not None:
-            for _, row in ctx.snapshot.visible_items(self.table):
+            for row in ctx.snapshot.visible_rows(self.table):
                 ctx.rows_scanned += 1
                 yield row
             return
@@ -165,8 +166,18 @@ class IndexScan(Operator):
         — ``snapshot.changed_rids`` — are excluded from the index walk and
         re-checked one by one against their visible values.  The set is
         small (bounded by churn since the oldest active snapshot), so the
-        scan keeps its index cost profile.
+        scan keeps its index cost profile.  The walk runs under
+        :meth:`Table.consistent_read`, so a writer arriving mid-walk sends
+        it round again.
         """
+        rows = self.table.consistent_read(
+            lambda: self._visible_matches(snapshot)
+        )
+        for row in rows:
+            ctx.rows_scanned += 1
+            yield row
+
+    def _visible_matches(self, snapshot) -> list[tuple]:
         changed = snapshot.changed_rids(self.table)
         if self.equal_key is not None:
             candidates = self.index.sorted_rids(self.equal_key)
@@ -174,16 +185,16 @@ class IndexScan(Operator):
             candidates = [
                 rid for _, rids in self._range_postings() for rid in rids
             ]
+        heap = self.table.rows
+        rows = []
         for rid in candidates:
             if rid in changed:
                 continue
-            row = self.table.rows.get(rid)
-            if row is None:  # pragma: no cover - concurrent change races
-                continue
-            ctx.rows_scanned += 1
-            yield row
+            row = heap.get(rid)
+            if row is not None:
+                rows.append(row)
         if not changed:
-            return
+            return rows
         positions = [
             self.table.schema.column_index(c) for c in self.index.columns
         ]
@@ -192,28 +203,27 @@ class IndexScan(Operator):
             if row is None:
                 continue
             key = tuple(row[p] for p in positions)
-            if not self._key_matches(key):
-                continue
-            ctx.rows_scanned += 1
-            yield row
+            if self._key_matches(key):
+                rows.append(row)
+        return rows
 
     def _key_matches(self, key: tuple) -> bool:
         """Equality/range predicate on a recomputed key (mirrors the
         ordered index's prefix comparison semantics)."""
-        from repro.storage.index import _key_has_null, _sort_key
+        from repro.storage.index import _key_has_null, sort_key
 
         if self.equal_key is not None:
             return key == self.equal_key
         if _key_has_null(key):
             return False
-        sortable = _sort_key(key)
+        sortable = sort_key(key)
         if self.low is not None:
-            low = _sort_key(self.low)
+            low = sort_key(self.low)
             prefix = sortable[: len(low)]
             if prefix < low or (not self.low_inclusive and prefix <= low):
                 return False
         if self.high is not None:
-            high = _sort_key(self.high)
+            high = sort_key(self.high)
             prefix = sortable[: len(high)]
             if prefix > high or (not self.high_inclusive and prefix >= high):
                 return False
@@ -230,8 +240,76 @@ class IndexScan(Operator):
         )
 
 
+class FragmentScan(Operator):
+    """Scan of a columnar :class:`~repro.storage.fragment.Fragment` in place.
+
+    The federation site's leaf over a shipped fragment.  Without bounds it
+    reads every row (zipped lazily from the columns); with ``equal_key`` or
+    range bounds it reads the rows the fragment's key index selects, the
+    way an :class:`IndexScan` over a unique ordered key would: one row per
+    equal key, ranges in key order.
+    """
+
+    def __init__(
+        self,
+        fragment: Fragment,
+        name: str,
+        binding: str | None = None,
+        equal_key: tuple | None = None,
+        low: tuple | None = None,
+        high: tuple | None = None,
+        low_inclusive: bool = True,
+        high_inclusive: bool = True,
+    ):
+        self.fragment = fragment
+        self.name = name
+        self.binding = binding or name
+        self.equal_key = equal_key
+        self.low = low
+        self.high = high
+        self.low_inclusive = low_inclusive
+        self.high_inclusive = high_inclusive
+        self.schema = [
+            OutputColumn(column, self.binding) for column in fragment.names
+        ]
+
+    @property
+    def probes(self) -> bool:
+        """True when the key index selects the rows (no full scan)."""
+        return not (
+            self.equal_key is None and self.low is None and self.high is None
+        )
+
+    def rows(self, ctx: ExecContext) -> Iterator[tuple]:
+        fragment = self.fragment
+        if not self.probes:
+            for row in fragment.iter_rows():
+                ctx.rows_scanned += 1
+                yield row
+            return
+        if self.equal_key is not None:
+            position = fragment.key_index().get(self.equal_key)
+            positions = [] if position is None else [position]
+        else:
+            positions = fragment.key_range(
+                self.low, self.high, self.low_inclusive, self.high_inclusive
+            )
+        for position in positions:
+            ctx.rows_scanned += 1
+            yield fragment.row(position)
+
+    def _describe(self) -> str:
+        if self.equal_key is not None:
+            detail = f" KEY = {self.equal_key!r}"
+        elif self.probes:
+            detail = f" KEY range {self.low!r}..{self.high!r}"
+        else:
+            detail = ""
+        return f"FragmentScan({self.name} AS {self.binding}{detail})"
+
+
 class ValuesScan(Operator):
-    """Materialised constant rows (used for VALUES and shipped fragments)."""
+    """Materialised constant rows (used for VALUES)."""
 
     def __init__(self, schema: list[OutputColumn], rows: list[tuple]):
         self.schema = list(schema)
@@ -244,6 +322,10 @@ class ValuesScan(Operator):
 
     def _describe(self) -> str:
         return f"ValuesScan({len(self._rows)} rows)"
+
+
+#: Operators that read a relation rather than another operator.
+LEAVES = (SeqScan, IndexScan, FragmentScan, ValuesScan)
 
 
 # ---------------------------------------------------------------------------

@@ -30,6 +30,7 @@ from repro.engine import operators as ops
 from repro.engine.expressions import OutputColumn, Scope
 from repro.sql import ast
 from repro.storage.catalog import Catalog
+from repro.storage.fragment import Fragment
 from repro.storage.index import OrderedIndex
 from repro.storage.types import DataType, TypeKind
 
@@ -64,10 +65,18 @@ class _Relation:
 
 
 class LocalPlanner:
-    """Plans queries against one :class:`~repro.storage.catalog.Catalog`."""
+    """Plans queries against one :class:`~repro.storage.catalog.Catalog`.
 
-    def __init__(self, catalog: Catalog):
+    ``fragments`` (lower-cased name → :class:`Fragment`) are relations read
+    in place by :class:`~repro.engine.operators.FragmentScan`; a name found
+    there shadows the catalog.
+    """
+
+    def __init__(
+        self, catalog: Catalog, fragments: Mapping[str, Fragment] | None = None
+    ):
         self.catalog = catalog
+        self.fragments = fragments or {}
 
     # ------------------------------------------------------------------
     # Entry point
@@ -290,15 +299,21 @@ class LocalPlanner:
         available: list[ast.Expression],
         outer: Scope | None,
     ) -> _Relation:
-        table = self.catalog.get_table(ref.name)
         binding = ref.binding
-        scope = Scope(
-            [OutputColumn(c.name, binding) for c in table.schema.columns], outer
-        )
+        fragment = self.fragments.get(ref.name.lower())
+        if fragment is not None:
+            names = fragment.names
+        else:
+            table = self.catalog.get_table(ref.name)
+            names = table.schema.column_names
+        scope = Scope([OutputColumn(name, binding) for name in names], outer)
         local, leftover = self._split_local(available, scope)
         available[:] = leftover
 
-        scan = self._choose_access_path(table, binding, local)
+        if fragment is not None:
+            scan = self._choose_fragment_path(fragment, ref.name, binding, local)
+        else:
+            scan = self._choose_access_path(table, binding, local)
         op: ops.Operator = scan
         if local:
             op = ops.Filter(op, ast.conjoin(local), scope)
@@ -317,22 +332,33 @@ class LocalPlanner:
         position, column, op_name, value = probe
         local.pop(position)
         index = table.find_index([column])
-        if op_name == "=":
-            return ops.IndexScan(table, index.name, binding, equal_key=(value,))
-        if op_name in ("<", "<="):
-            return ops.IndexScan(
-                table,
-                index.name,
-                binding,
-                high=(value,),
-                high_inclusive=(op_name == "<="),
-            )
         return ops.IndexScan(
-            table,
-            index.name,
-            binding,
-            low=(value,),
-            low_inclusive=(op_name == ">="),
+            table, index.name, binding, **_probe_bounds(op_name, value)
+        )
+
+    def _choose_fragment_path(
+        self,
+        fragment: Fragment,
+        name: str,
+        binding: str,
+        local: list[ast.Expression],
+    ) -> ops.FragmentScan:
+        """A fragment's access path: by key when :func:`choose_index_probe`
+        picks its single key column and the key holds in the data (no NULL,
+        no repeat), else a full scan.  Consumes the predicate it absorbs."""
+        indexed = {}
+        if len(fragment.key) == 1:
+            (key,) = fragment.key
+            indexed[key.lower()] = IndexedColumn(
+                fragment.types[fragment.position(key)], ordered=True
+            )
+        probe = choose_index_probe(local, indexed)
+        if probe is None or fragment.key_index() is None:
+            return ops.FragmentScan(fragment, name, binding)
+        position, _, op_name, value = probe
+        local.pop(position)
+        return ops.FragmentScan(
+            fragment, name, binding, **_probe_bounds(op_name, value)
         )
 
     def _plan_explicit_join(
@@ -687,6 +713,11 @@ def _estimate_rows(op: ops.Operator) -> float:
                 op.table.row_count / max(op.index.distinct_keys, 1), 1.0
             )
         return op.table.row_count / 3.0
+    if isinstance(op, ops.FragmentScan):
+        if op.equal_key is not None:
+            return 1.0  # a probe of a unique key
+        rows = float(op.fragment.length)
+        return rows / 3.0 if op.probes else rows
     if isinstance(op, ops.ValuesScan):
         return float(len(op._rows))
     if isinstance(op, ops.Filter):
@@ -730,7 +761,7 @@ def _scan_rows(op: ops.Operator, under_limit: bool) -> float | None:
     """Estimated rows ``op``'s leaves feed in, or None if a LIMIT above
     could stop a leaf early (``under_limit``: no Sort or aggregate in
     between to consume the leaf whole first)."""
-    if isinstance(op, (ops.SeqScan, ops.IndexScan, ops.ValuesScan)):
+    if isinstance(op, ops.LEAVES):
         return None if under_limit else _estimate_rows(op)
     if isinstance(op, (ops.Sort, ops.HashAggregate)):
         under_limit = False
@@ -826,6 +857,15 @@ def choose_index_probe(
         if best is None and entry.ordered:
             best = position, column, op_name, value
     return best
+
+
+def _probe_bounds(op_name: str, value: object) -> dict[str, object]:
+    """An index scan's bounds for the conjunct ``column <op_name> value``."""
+    if op_name == "=":
+        return {"equal_key": (value,)}
+    if op_name in ("<", "<="):
+        return {"high": (value,), "high_inclusive": op_name == "<="}
+    return {"low": (value,), "low_inclusive": op_name == ">="}
 
 
 def _constant_comparison(

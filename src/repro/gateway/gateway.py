@@ -32,9 +32,11 @@ from repro.errors import (
 from repro.gateway.exports import ExportRelation, ExportSchema
 from repro.gateway.translate import rewrite_exports
 from repro.localdb.dbms import LocalDBMS, Session
-from repro.net import MessageTrace, Network, estimate_rows_bytes
+from repro.net import MessageTrace, Network
+from repro.net.sim import estimate_fragment_bytes
 from repro.obs import Observability, obs_of
 from repro.sql import ast, to_sql
+from repro.storage.fragment import Fragment
 from repro.storage.stats import TableStats, analyze_rows
 
 #: Virtual per-row processing cost at a component site (SPARC-era: ~50k
@@ -299,20 +301,23 @@ class Gateway:
             compute_cost = report.rows_scanned * LOCAL_ROW_COST_S
             if trace is not None:
                 trace.add_compute(compute_cost)
-            rows = _normalize_rows(result.rows)
+            # The component's result, a column at a time: sized, framed
+            # and shipped without ever being turned into rows here.
+            local = result.fragment
+            fragment = _normalize_fragment(local)
             encoded = None
             raw_bytes = None
             if self.wire_compression:
                 from repro.net.codec import encode_fragment
 
-                # Encode the canonicalised rows — exactly what the
+                # Encode the canonicalised fragment — exactly what the
                 # federation receives — and charge compressed bytes.
-                encoded = encode_fragment(result.columns, rows)
+                encoded = encode_fragment(fragment)
                 result_bytes = encoded.wire_bytes
                 if encoded.wire_bytes < encoded.raw_bytes:
                     raw_bytes = encoded.raw_bytes
             else:
-                result_bytes = estimate_rows_bytes(result.rows)
+                result_bytes = estimate_fragment_bytes(local)
             reply_cost = self.network.send(
                 self.site,
                 from_site,
@@ -332,16 +337,16 @@ class Gateway:
                     self.snapshot_reads += 1
             sim_latency = request_cost + compute_cost + reply_cost
             span.set_sim(sim_latency).tag(
-                rows=len(result.rows), bytes=result_bytes
+                rows=fragment.length, bytes=result_bytes
             )
         metrics = obs.metrics
-        metrics.inc("site.rows_shipped", len(result.rows), site=self.site)
+        metrics.inc("site.rows_shipped", fragment.length, site=self.site)
         metrics.inc("site.bytes_shipped", result_bytes, site=self.site)
         metrics.observe("gateway.fetch_latency_s", sim_latency, site=self.site)
         # Per-site rolling window: the ops console's QPS / p95 per site.
         obs.window.inc("site.requests", site=self.site)
         obs.window.observe("site.latency_s", sim_latency, site=self.site)
-        shipped = ResultSet(result.columns, rows)
+        shipped = ResultSet.of(fragment)
         # The executor reports the component's scan work per fetch in
         # EXPLAIN ANALYZE: the access path it took, seen from outside,
         # and whether its engine ran the fragment as a batch or by rows.
@@ -810,23 +815,23 @@ def _map_expr(expr: ast.Expression, relation: ExportRelation) -> ast.Expression:
     return ast.transform_expression(expr, replace)
 
 
-def _normalize_rows(rows: list[tuple]) -> list[tuple]:
+def _normalize_fragment(fragment: Fragment) -> Fragment:
     """Canonicalise dialect-specific value types (Decimal → int/float).
 
-    Works a column at a time: only columns holding a Decimal are rebuilt,
-    and when none does ``rows`` comes back untouched, the same list.
+    Only columns holding a Decimal are rebuilt; when none does,
+    ``fragment`` comes back untouched, the same object.
     """
-    columns = list(zip(*rows))
     decimal_columns = [
         position
-        for position, column in enumerate(columns)
+        for position, column in enumerate(fragment.columns)
         if any(issubclass(kind, Decimal) for kind in set(map(type, column)))
     ]
     if not decimal_columns:
-        return rows
+        return fragment
+    columns = list(fragment.columns)
     for position in decimal_columns:
-        columns[position] = map(_normalize_value, columns[position])
-    return list(zip(*columns))
+        columns[position] = list(map(_normalize_value, columns[position]))
+    return Fragment(list(fragment.names), columns, fragment.length)
 
 
 def _normalize_value(value: object) -> object:

@@ -19,9 +19,10 @@ incompressible columns never pay a full encoding pass.  If the encoded
 fragment would not beat the raw rowset (headers included), the whole
 fragment falls back to raw — **wire bytes never exceed raw bytes**.
 
-Decoding is an exact inverse: the decoded rows are the same value objects
-zipped back into tuples, so results and downstream accounting are
-bit-identical to shipping raw rows.
+The codec works on :class:`~repro.storage.fragment.Fragment` values, a
+column at a time, in both directions.  Decoding is an exact inverse: the
+decoded columns hold the same value objects, so results and downstream
+accounting are bit-identical to shipping raw rows.
 
 Equality hazards: Python hashes/compares ``True == 1 == 1.0`` as equal, so
 both the dictionary and the run detector key on ``(type, value)`` — a
@@ -32,7 +33,12 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from repro.net.sim import estimate_rows_bytes, estimate_value_bytes
+from repro.net.sim import (
+    estimate_column_bytes,
+    estimate_fragment_bytes,
+    estimate_value_bytes,
+)
+from repro.storage.fragment import Fragment
 
 #: Fragment-level framing: codec map, column count, row count.
 FRAGMENT_HEADER_BYTES = 16
@@ -64,8 +70,8 @@ class EncodedFragment:
     """A shipped fragment after column-wise encoding.
 
     ``columns_data`` is None when the encoder fell back to shipping the
-    raw rowset (``rows`` holds it); otherwise one :class:`EncodedColumn`
-    per output column.
+    raw fragment (``fragment`` holds it); otherwise one
+    :class:`EncodedColumn` per output column.
     """
 
     columns: list[str]
@@ -78,14 +84,7 @@ class EncodedFragment:
     #: column order, deduplicated for display.
     codec: str
     columns_data: list[EncodedColumn] | None = None
-    rows: list[tuple] | None = None
-
-
-def _raw_column_bytes(values: list) -> int:
-    total = 0
-    for value in values:
-        total += estimate_value_bytes(value)
-    return total
+    fragment: Fragment | None = None
 
 
 def _code_width(distinct: int) -> int:
@@ -133,7 +132,7 @@ def _encode_dict(values: list) -> EncodedColumn | None:
             codes.append(code)
     except TypeError:
         return None
-    wire = _raw_column_bytes(distinct) + len(values) * _code_width(
+    wire = estimate_column_bytes(distinct) + len(values) * _code_width(
         len(distinct)
     )
     return EncodedColumn("dict", (distinct, codes), wire)
@@ -160,18 +159,19 @@ def _encode_rle(values: list) -> EncodedColumn:
     return EncodedColumn("rle", runs, wire)
 
 
-def encode_fragment(columns: list[str], rows: list[tuple]) -> EncodedFragment:
+def encode_fragment(fragment: Fragment) -> EncodedFragment:
     """Encode one fragment column-wise; falls back to raw when not smaller."""
-    raw_bytes = estimate_rows_bytes(rows)
-    if not rows or not columns:
+    raw_bytes = estimate_fragment_bytes(fragment)
+    names = list(fragment.names)
+    if not fragment.length or not names:
         return EncodedFragment(
-            list(columns), len(rows), raw_bytes, raw_bytes, "raw", rows=rows
+            names, fragment.length, raw_bytes, raw_bytes, "raw",
+            fragment=fragment,
         )
-    column_values = [list(values) for values in zip(*rows)]
     encoded: list[EncodedColumn] = []
     wire_total = FRAGMENT_HEADER_BYTES
-    for values in column_values:
-        best = EncodedColumn("raw", values, _raw_column_bytes(values))
+    for values in fragment.columns:
+        best = EncodedColumn("raw", values, estimate_column_bytes(values))
         distinct_ratio, run_ratio = _sample_stats(values)
         if distinct_ratio <= DICT_THRESHOLD:
             candidate = _encode_dict(values)
@@ -188,16 +188,17 @@ def encode_fragment(columns: list[str], rows: list[tuple]) -> EncodedFragment:
     ):
         # Headers ate the win, or no column actually compressed (the
         # column layout alone must not be charged cheaper than rows):
-        # ship raw rows.
+        # ship the raw fragment.
         return EncodedFragment(
-            list(columns), len(rows), raw_bytes, raw_bytes, "raw", rows=rows
+            names, fragment.length, raw_bytes, raw_bytes, "raw",
+            fragment=fragment,
         )
     summary = ",".join(
         sorted({column.encoding for column in encoded})
     )
     return EncodedFragment(
-        list(columns),
-        len(rows),
+        names,
+        fragment.length,
         raw_bytes,
         wire_total,
         summary,
@@ -205,12 +206,12 @@ def encode_fragment(columns: list[str], rows: list[tuple]) -> EncodedFragment:
     )
 
 
-def decode_fragment(fragment: EncodedFragment) -> list[tuple]:
+def decode_fragment(encoded: EncodedFragment) -> Fragment:
     """Exact inverse of :func:`encode_fragment`."""
-    if fragment.columns_data is None:
-        return list(fragment.rows)
+    if encoded.columns_data is None:
+        return encoded.fragment
     columns: list[list] = []
-    for column in fragment.columns_data:
+    for column in encoded.columns_data:
         if column.encoding == "raw":
             columns.append(column.data)
         elif column.encoding == "dict":
@@ -221,6 +222,4 @@ def decode_fragment(fragment: EncodedFragment) -> list[tuple]:
             for value, count in column.data:
                 values.extend([value] * count)
             columns.append(values)
-    if not columns:
-        return [()] * fragment.row_count
-    return list(zip(*columns))
+    return Fragment(list(encoded.columns), columns, encoded.row_count)

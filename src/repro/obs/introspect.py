@@ -166,6 +166,10 @@ def _mvcc_stats(dbms) -> dict:
         # How far version GC is held back by the oldest open read view,
         # in commit timestamps; 0 means vacuum can prune to "now".
         "snapshot_horizon_age": commit_ts - oldest,
+        # Which path snapshot scans took: the live heap in one pass, or
+        # the heap with the RIDs changed since the snapshot patched in.
+        "heap_scans": manager.heap_scans,
+        "patched_scans": manager.patched_scans,
     }
 
 
@@ -355,7 +359,9 @@ def _render_ops_window(lines: list[str], stats: dict) -> None:
             lines.append(
                 f"mvcc {site}: commit_ts={mvcc.get('commit_ts', 0)} "
                 f"snapshots={mvcc.get('active_snapshots', 0)} "
-                f"horizon_age={mvcc.get('snapshot_horizon_age', 0)}"
+                f"horizon_age={mvcc.get('snapshot_horizon_age', 0)} "
+                f"scans=heap:{mvcc.get('heap_scans', 0)}"
+                f"/patched:{mvcc.get('patched_scans', 0)}"
             )
     for status in slos:
         worst = max(

@@ -5,12 +5,12 @@ Executes a :class:`~repro.query.localizer.GlobalPlan`:
 1. ship fragment queries to gateways — independent fetches in parallel
    (accounted as parallel sections on the message trace), semijoin-dependent
    fetches after their key source,
-2. load each fragment into a per-query federation-site catalog as a table
-   of federation-canonical column types, in one column-wise pass: columns
-   the gateway already canonicalised are stored as shipped, not
-   re-validated and re-inserted row by row,
-3. evaluate the residual query there with the federation's integration
-   functions registered,
+2. type each shipped :class:`~repro.storage.fragment.Fragment` with
+   federation-canonical column types, a column at a time: columns the
+   gateway already canonicalised are kept as shipped, not re-validated,
+3. evaluate the residual query over the fragments, passed to the
+   federation-site engine by name and read in place (``FragmentScan``),
+   with the federation's integration functions registered,
 4. return rows plus the full traffic/timing accounting.
 """
 
@@ -28,7 +28,6 @@ from repro.errors import (
     CircuitOpenError,
     ExecutionError,
     FederationError,
-    IntegrityError,
     MessageDropped,
 )
 from repro.gateway import LOCAL_ROW_COST_S, Gateway
@@ -37,7 +36,7 @@ from repro.obs import DISABLED, FetchActual, Observability, obs_of
 from repro.query.localizer import Fetch, GlobalPlan
 from repro.schema.federation import Federation
 from repro.sql import ast, to_sql
-from repro.storage import Catalog, Column, TableSchema
+from repro.storage import Catalog, Column, Fragment, TableSchema
 from repro.storage.types import ANY, FLOAT, INTEGER, DataType, TypeKind
 
 
@@ -150,7 +149,7 @@ class _FetchOutcome:
     """What one fetch produced, collected off a worker or inline."""
 
     fetch: Fetch
-    result: ResultSet | None = None
+    result: Fragment | None = None
     actual: FetchActual | None = None
     degraded: bool = False
     error: BaseException | None = None
@@ -177,7 +176,7 @@ class _Execution:
     obs: Observability
     use_cache: bool
     request_id: str | None
-    fetch_results: dict[int, ResultSet] = field(default_factory=dict)
+    fetch_results: dict[int, Fragment] = field(default_factory=dict)
 
 
 class GlobalExecutor:
@@ -225,6 +224,9 @@ class GlobalExecutor:
         #: Optional federation-site fragment cache (shared across queries;
         #: bypassed inside global transactions).
         self.fragment_cache = fragment_cache
+        #: The federation site's own catalog: empty, since the residual
+        #: reads each query's fragments in place, passed by name.
+        self._catalog = Catalog(f"federation:{federation.name}")
         self._pool: ThreadPoolExecutor | None = None
         self._pool_lock = threading.Lock()
 
@@ -308,11 +310,7 @@ class GlobalExecutor:
             request_id=request_id,
         )
         obs = run.obs
-        catalog = Catalog(f"federation:{self.federation.name}")
-        engine = LocalEngine(
-            catalog, functions=self.federation.functions.as_dict()
-        )
-
+        fragments: dict[str, Fragment] = {}
         fetch_results = run.fetch_results
         fetch_actuals: dict[int, FetchActual] = {}
         fetched_rows = 0
@@ -345,11 +343,11 @@ class GlobalExecutor:
                         continue
                     if outcome.actual is not None:
                         fetch_actuals[fetch.index] = outcome.actual
-                    fetched_rows += len(outcome.result.rows)
+                    fetched_rows += outcome.result.length
                 stage_span.tag(fetches=len(stage))
             for fetch in stage:
-                self._register_fragment(
-                    catalog, fetch, fetch_results[fetch.index]
+                fragments[fetch.temp_name.lower()] = self._canonical_fragment(
+                    fetch, fetch_results[fetch.index]
                 )
                 del remaining[fetch.index]
                 done.add(fetch.index)
@@ -367,8 +365,11 @@ class GlobalExecutor:
                 remaining = {index: plan.fetches[index] for index in remaining}
             stage_index += 1
 
+        engine = LocalEngine(
+            self._catalog, functions=self.federation.functions.as_dict()
+        )
         with obs.span("execute.residual") as residual_span:
-            result = engine.execute_query(plan.query)
+            result = engine.execute_query(plan.query, fragments=fragments)
             residual = engine.last_report
             residual_sim = residual.rows_scanned * LOCAL_ROW_COST_S
             trace.add_compute(residual_sim)
@@ -404,14 +405,14 @@ class GlobalExecutor:
             return getattr(gateway.network, "health", None)
         return None
 
-    def _degraded_fragment(self, fetch: Fetch, obs: Observability) -> ResultSet:
+    def _degraded_fragment(self, fetch: Fetch, obs: Observability) -> Fragment:
         """Empty stand-in for a fragment from a skipped (dead) site.
 
         Downstream semijoins see zero key values (their shipped query
         degenerates to ``1=0``), so the rest of the plan still runs.
         """
         obs.metrics.inc("query.degraded_fetches", site=fetch.site)
-        return ResultSet(list(fetch.columns), [])
+        return Fragment.from_rows(fetch.columns, [])
 
     def _fetch_with_retry(
         self,
@@ -677,11 +678,9 @@ class GlobalExecutor:
             run.obs.metrics.inc("fragcache.miss", site=fetch.site)
             return None, probe
         run.obs.metrics.inc("fragcache.hit", site=fetch.site)
-        rows = hit.materialize()
+        fragment = hit.materialize()
         outcome = _FetchOutcome(
-            fetch,
-            ResultSet(list(hit.columns), rows),
-            FetchActual(rows=len(rows), cached=True),
+            fetch, fragment, FetchActual(rows=fragment.length, cached=True)
         )
         return outcome, probe
 
@@ -740,9 +739,10 @@ class GlobalExecutor:
                     outcome.degraded = True
                     outcome.result = self._degraded_fragment(fetch, obs)
                     return outcome
+                fragment = result.fragment
                 encoded = getattr(result, "encoded", None)
                 actual = FetchActual(
-                    rows=len(result.rows),
+                    rows=fragment.length,
                     bytes=branch.payload_bytes,
                     messages=len(branch.records),
                     sim_s=trace.branch_elapsed(branch_name),
@@ -764,8 +764,7 @@ class GlobalExecutor:
                     probe.sql,
                     probe.version,
                     gateway.data_version(fetch.export),
-                    result.columns,
-                    result.rows,
+                    fragment,
                     encoded=encoded,
                     codec=self._codec,
                 )
@@ -780,7 +779,7 @@ class GlobalExecutor:
                         "fragcache.bytes_saved",
                         encoded.raw_bytes - encoded.wire_bytes,
                     )
-            outcome.result = result
+            outcome.result = fragment
             outcome.actual = actual
             return outcome
         except BaseException as error:
@@ -790,7 +789,7 @@ class GlobalExecutor:
             return outcome
 
     def _shipped_query(
-        self, fetch: Fetch, fetch_results: dict[int, ResultSet]
+        self, fetch: Fetch, fetch_results: dict[int, Fragment]
     ) -> ast.Select:
         """Build the SELECT shipped for this fetch (semijoin keys bound)."""
         in_list: list[object] | None = None
@@ -806,14 +805,14 @@ class GlobalExecutor:
                 in_list.append(value)
         return fetch.shipped_query(in_list)
 
-    def _register_fragment(
-        self, catalog: Catalog, fetch: Fetch, result: ResultSet
-    ) -> None:
-        """Bulk-load one fragment into the per-query catalog as a table.
+    def _canonical_fragment(self, fetch: Fetch, fragment: Fragment) -> Fragment:
+        """``fragment`` typed as the residual query reads it.
 
-        Columns get federation-canonical types; :meth:`Table.load` keeps
-        every column the gateway already canonicalised as shipped, so a
-        fragment is neither re-validated nor re-inserted row by row.
+        Columns get federation-canonical types (:meth:`Fragment.canonical`
+        keeps every column the gateway already canonicalised as shipped).
+        The export's primary key is kept when fully shipped: the residual
+        planner can then probe the fragment by key, if the key holds in
+        the data (:meth:`Fragment.key_index`).
         """
         export_schema = self.gateways[fetch.site].export_relation_schema(
             fetch.export
@@ -822,7 +821,7 @@ class GlobalExecutor:
         if fetch.whole_query is not None:
             columns = [
                 Column(name, _output_type(item.expression, export_schema))
-                for name, item in zip(result.columns, fetch.whole_query.items)
+                for name, item in zip(fragment.names, fetch.whole_query.items)
             ]
         else:
             columns = [
@@ -831,27 +830,11 @@ class GlobalExecutor:
                 )
                 for name in fetch.columns
             ]
-            # Keep the primary key when fully shipped: the federation
-            # planner can then use index lookups on the fragment.
             shipped = {c.lower() for c in fetch.columns}
             if export_schema.primary_key and all(
                 k.lower() in shipped for k in export_schema.primary_key
             ):
                 primary_key = list(export_schema.primary_key)
-        table = catalog.create_table(
+        return fragment.canonical(
             TableSchema(fetch.temp_name, columns, primary_key)
         )
-        try:
-            table.load(result.rows)
-        except IntegrityError:
-            if not primary_key:
-                raise
-            # A shipped fragment can legally repeat key values (overlapping
-            # export relations behind a union view, semijoin-reduced
-            # fetches): fall back to a keyless table rather than failing
-            # the materialisation — the fragment is intermediate state,
-            # not the export itself.
-            catalog.drop_table(fetch.temp_name)
-            catalog.create_table(TableSchema(fetch.temp_name, columns)).load(
-                result.rows
-            )

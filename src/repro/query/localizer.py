@@ -5,8 +5,8 @@ Input: a query whose FROM items reference export relations as
 
 Output: a :class:`GlobalPlan` — a list of :class:`Fetch` fragments (one
 subquery shipped to one gateway) plus the residual query, rewritten over
-temporary tables, that the federation site evaluates on the fetched
-fragments.
+each fetch's ``temp_name``, that the federation site evaluates on the
+fetched fragments (read in place, by that name).
 
 Localization optionally performs the two classic reductions the full-fledged
 optimizer relies on:
@@ -127,7 +127,7 @@ class JoinEdge:
 class GlobalPlan:
     """A localized global query ready for execution."""
 
-    query: ast.Query  #: residual query over temp tables
+    query: ast.Query  #: residual query over the fetches' temp names
     fetches: list[Fetch] = field(default_factory=list)
     join_edges: list[JoinEdge] = field(default_factory=list)
     strategy: str = "simple"

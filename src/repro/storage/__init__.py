@@ -2,10 +2,12 @@
 
 Rows are tuples, relations are :class:`~repro.storage.table.Table` heaps with
 hash/ordered indexes, and each component database keeps its relations in a
-:class:`~repro.storage.catalog.Catalog`.
+:class:`~repro.storage.catalog.Catalog`.  A query result on its way between
+sites is a columnar :class:`~repro.storage.fragment.Fragment`.
 """
 
 from repro.storage.catalog import Catalog
+from repro.storage.fragment import Fragment
 from repro.storage.index import HashIndex, Index, OrderedIndex
 from repro.storage.schema import Column, Row, TableSchema
 from repro.storage.stats import ColumnStats, TableStats, analyze_table
@@ -29,6 +31,7 @@ from repro.storage.types import (
 
 __all__ = [
     "Catalog",
+    "Fragment",
     "HashIndex",
     "Index",
     "OrderedIndex",

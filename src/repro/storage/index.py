@@ -19,7 +19,8 @@ from repro.storage.types import null_first_key
 Key = tuple[object, ...]
 
 
-def _sort_key(key: Key) -> tuple:
+def sort_key(key: Key) -> tuple:
+    """Sortable form of a key tuple: NULLs first, bools and Decimals as numbers."""
     return tuple(null_first_key(value) for value in key)
 
 
@@ -52,19 +53,6 @@ class Index:
         if position < len(rids) and rids[position] == rid:
             return
         rids.insert(position, rid)
-
-    def load(self, keys: list[Key]) -> None:
-        """Index a bulk-loaded table: ``keys[i]`` is the key of RID ``i + 1``.
-
-        Built in one pass over an empty index.  The table has already
-        refused whatever :meth:`insert` would have refused.
-        """
-        entries = dict(zip(keys, map(list, zip(range(1, len(keys) + 1)))))
-        if len(entries) < len(keys):  # repeated keys share one posting list
-            entries = {}
-            for rid, key in enumerate(keys, 1):
-                entries.setdefault(key, []).append(rid)
-        self._entries = entries
 
     def violation(self, key: Key) -> IntegrityError:
         """The error a second row with ``key`` raises in a unique index."""
@@ -115,36 +103,20 @@ class OrderedIndex(Index):
 
     def __init__(self, name: str, table: str, columns: list[str], unique: bool = False):
         super().__init__(name, table, columns, unique)
-        #: (sortable, key) pairs in key order.  None after a bulk load,
-        #: until the first range scan sorts them: most loaded tables are
-        #: only ever scanned or probed by equality.
-        self._sorted_keys: list[tuple[tuple, Key]] | None = []
-
-    def load(self, keys: list[Key]) -> None:
-        super().load(keys)
-        self._sorted_keys = None
+        #: (sortable, key) pairs in key order.
+        self._sorted_keys: list[tuple[tuple, Key]] = []
 
     def _key_added(self, key: Key) -> None:
-        if self._sorted_keys is not None:
-            bisect.insort(self._sorted_keys, (_sort_key(key), key))
+        bisect.insort(self._sorted_keys, (sort_key(key), key))
 
     def _key_removed(self, key: Key) -> None:
-        if self._sorted_keys is None:
-            return
-        item = (_sort_key(key), key)
+        item = (sort_key(key), key)
         position = bisect.bisect_left(self._sorted_keys, item)
         if (
             position < len(self._sorted_keys)
             and self._sorted_keys[position][1] == key
         ):
             self._sorted_keys.pop(position)
-
-    def _sorted(self) -> list[tuple[tuple, Key]]:
-        if self._sorted_keys is None:
-            self._sorted_keys = sorted(
-                (_sort_key(key), key) for key in self._entries
-            )
-        return self._sorted_keys
 
     def range_scan(
         self,
@@ -159,7 +131,7 @@ class OrderedIndex(Index):
         (SQL comparison semantics).
         """
         for key in self._range_keys(low, high, low_inclusive, high_inclusive):
-            yield key, set(self._entries[key])
+            yield key, set(self._entries.get(key, ()))
 
     def range_scan_sorted(
         self,
@@ -170,7 +142,7 @@ class OrderedIndex(Index):
     ) -> Iterator[tuple[Key, tuple[int, ...]]]:
         """Like :meth:`range_scan` but yields RIDs in ascending order."""
         for key in self._range_keys(low, high, low_inclusive, high_inclusive):
-            yield key, tuple(self._entries[key])
+            yield key, tuple(self._entries.get(key, ()))
 
     def _range_keys(
         self,
@@ -179,27 +151,42 @@ class OrderedIndex(Index):
         low_inclusive: bool,
         high_inclusive: bool,
     ) -> Iterator[Key]:
-        sorted_keys = self._sorted()
-        if low is None:
-            start = 0
+        # Walk a copy (taken in one step): a snapshot reader scans without
+        # the table lock while a writer inserts and removes keys.
+        return range_keys(
+            list(self._sorted_keys), low, high, low_inclusive, high_inclusive
+        )
+
+
+def range_keys(
+    sorted_keys: list[tuple[tuple, Key]],
+    low: Key | None,
+    high: Key | None,
+    low_inclusive: bool,
+    high_inclusive: bool,
+) -> Iterator[Key]:
+    """Keys of ``sorted_keys`` ((sortable, key) pairs in key order) within
+    [low, high], skipping keys that contain NULL; ``None`` bounds are open."""
+    if low is None:
+        start = 0
+    else:
+        sort_low = sort_key(low)
+        if low_inclusive:
+            start = bisect.bisect_left(sorted_keys, (sort_low, low))
         else:
-            sort_low = _sort_key(low)
-            if low_inclusive:
-                start = bisect.bisect_left(sorted_keys, (sort_low, low))
-            else:
-                start = bisect.bisect_right(sorted_keys, (sort_low, (_INFINITY,)))
-        for position in range(start, len(sorted_keys)):
-            sortable, key = sorted_keys[position]
-            if high is not None:
-                sort_high = _sort_key(high)
-                if high_inclusive:
-                    if sortable[: len(sort_high)] > sort_high:
-                        return
-                elif sortable[: len(sort_high)] >= sort_high:
+            start = bisect.bisect_right(sorted_keys, (sort_low, (_INFINITY,)))
+    for position in range(start, len(sorted_keys)):
+        sortable, key = sorted_keys[position]
+        if high is not None:
+            sort_high = sort_key(high)
+            if high_inclusive:
+                if sortable[: len(sort_high)] > sort_high:
                     return
-            if _key_has_null(key):
-                continue
-            yield key
+            elif sortable[: len(sort_high)] >= sort_high:
+                return
+        if _key_has_null(key):
+            continue
+        yield key
 
 
 class _Infinity:

@@ -122,46 +122,6 @@ class TableSchema:
             column.validate(value) for column, value in zip(self.columns, values)
         )
 
-    def validate_rows(self, rows: list) -> tuple[list[Row], Exception | None]:
-        """:meth:`validate_row` over many rows, a column at a time.
-
-        Returns the validated rows before the first row
-        :meth:`validate_row` would refuse, and the error it would raise for
-        that row (None when every row passes).  A column that
-        :meth:`Column.takes_as_is` is left as it is; any other is validated
-        value by value.  When no value needed coercing, ``rows`` itself
-        comes back, not a copy.
-        """
-        width = len(self.columns)
-        error: Exception | None = None
-        if rows and set(map(len, rows)) != {width}:
-            bad = next(i for i, row in enumerate(rows) if len(row) != width)
-            rows, error = rows[:bad], self._width_error(rows[bad])
-        if not rows or not width:
-            return [()] * len(rows), error
-        limit = len(rows)
-        columns = list(zip(*rows))
-        coerced = False
-        for position, column in enumerate(self.columns):
-            values = columns[position][:limit]
-            if column.takes_as_is(values):
-                continue
-            validated = []
-            try:
-                for value in values:
-                    validated.append(column.validate(value))
-            except Exception as exc:
-                # Whatever validate_row would raise for this row.  A later
-                # column may still fail on an earlier row, which would then
-                # come first, so the error is returned, not raised here.
-                limit, error = len(validated), exc
-            columns[position] = validated
-            coerced = True
-        if not coerced and set(map(type, rows)) == {tuple}:
-            return rows, error
-        # zip stops at the shortest column: the rows before the first error.
-        return list(zip(*columns)), error
-
     def _width_error(self, values: list[object] | Row) -> IntegrityError:
         return IntegrityError(
             f"table {self.name!r} expects {len(self.columns)} values, "

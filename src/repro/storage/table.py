@@ -2,12 +2,14 @@
 
 from __future__ import annotations
 
-from collections.abc import Iterator
-from operator import itemgetter
+from collections.abc import Callable, Iterator
+from typing import TypeVar
 
 from repro.errors import CatalogError, IntegrityError
 from repro.storage.index import HashIndex, Index, OrderedIndex
 from repro.storage.schema import Row, TableSchema
+
+T = TypeVar("T")
 
 
 class Table:
@@ -40,6 +42,12 @@ class Table:
         self.versions: dict[int, tuple] = {}
         #: RID → (writer txn id, last committed value) pending markers.
         self.uncommitted: dict[int, tuple] = {}
+        #: Bumped after each new pending marker, before the heap changes:
+        #: a snapshot reader that sees it move knows a writer overlapped.
+        self.pending_marks = 0
+        #: True while ``rows`` iterates in RID order (only an undo
+        #: ``restore`` of an older RID breaks it).
+        self._rid_ordered = True
         if schema.primary_key:
             self.create_index(
                 f"__pk_{schema.name}", schema.primary_key, unique=True, ordered=True
@@ -63,6 +71,33 @@ class Table:
     def scan(self) -> Iterator[tuple[int, Row]]:
         """Yield (rid, row) pairs in insertion order."""
         yield from list(self.rows.items())
+
+    def consistent_read(self, read: Callable[[], T]) -> T:
+        """``read()``, repeated until no writer registered a pending marker
+        while it ran.
+
+        Writers register the marker before they touch the heap or an index
+        (``pending_marks`` moves in between), so a lock-free snapshot read
+        during which ``pending_marks`` stood still saw no uncommitted
+        change.
+        """
+        while True:
+            marks = self.pending_marks
+            result = read()
+            if self.pending_marks == marks:
+                return result
+
+    def heap_items(self) -> list[tuple[int, Row]]:
+        """The live (rid, row) pairs in RID order, copied in one pass."""
+        if self._rid_ordered:
+            return list(self.rows.items())
+        return sorted(self.rows.items())
+
+    def heap_rows(self) -> list[Row]:
+        """The live rows in RID order, copied in one pass."""
+        if self._rid_ordered:
+            return list(self.rows.values())
+        return [row for _, row in sorted(self.rows.items())]
 
     def get(self, rid: int) -> Row:
         try:
@@ -113,35 +148,9 @@ class Table:
         if pending_owner is not None:
             # Fresh RID: committed value is "absent".
             self.uncommitted[rid] = (pending_owner, None)
+            self.pending_marks += 1
         self.rows[rid] = row
         return rid
-
-    def load(self, rows: list[Row]) -> None:
-        """Insert many rows into this fresh table at once.
-
-        Stores what :meth:`insert` on each row in turn would store, under
-        RIDs 1..n, or raises the error the first refused insert would
-        raise and stores nothing.  Rows are validated a column at a time
-        (:meth:`TableSchema.validate_rows`), unique keys are checked with
-        one set per index, and each index is built once from the finished
-        rows.
-        """
-        if self.next_rid != 1:
-            raise IntegrityError(f"table {self.name!r} is not fresh")
-        rows, error = self.schema.validate_rows(rows)
-        index_keys = [
-            (index, self._index_keys(index, rows))
-            for index in self.indexes.values()
-        ]
-        # Every row the key checks see passed validation, so a key error
-        # belongs to an earlier row than any validation error.
-        error = self._key_error(rows, index_keys) or error
-        if error is not None:
-            raise error
-        self.rows.update(zip(range(1, len(rows) + 1), rows))
-        self.next_rid = len(rows) + 1
-        for index, keys in index_keys:
-            index.load(keys)
 
     def delete(self, rid: int) -> Row:
         """Remove a row by RID; returns the old row (for undo logging)."""
@@ -183,6 +192,8 @@ class Table:
             raise IntegrityError(f"rid {rid} already present in {self.name!r}")
         for index in self.indexes.values():
             index.insert(self._index_key(index, row), rid)
+        if self.rows and rid < next(reversed(self.rows)):
+            self._rid_ordered = False
         self.rows[rid] = row
         self.next_rid = max(self.next_rid, rid + 1)
 
@@ -195,6 +206,7 @@ class Table:
         """
         if rid not in self.uncommitted:
             self.uncommitted[rid] = (owner, self.rows.get(rid))
+            self.pending_marks += 1
 
     def clear_pending(self, rid: int) -> None:
         """Drop a pending marker (after the writer resolved and undid/won)."""
@@ -210,6 +222,7 @@ class Table:
         self.rows.clear()
         self.versions.clear()
         self.uncommitted.clear()
+        self._rid_ordered = True
         for name, index in list(self.indexes.items()):
             klass = type(index)
             self.indexes[name] = klass(
@@ -255,40 +268,6 @@ class Table:
     def _index_key(self, index: Index, row: Row) -> tuple:
         positions = [self.schema.column_index(c) for c in index.columns]
         return tuple(row[p] for p in positions)
-
-    def _index_keys(self, index: Index, rows: list[Row]) -> list[tuple]:
-        """``index``'s key of every row, in row order, built column-wise."""
-        positions = [self.schema.column_index(c) for c in index.columns]
-        return list(zip(*(map(itemgetter(p), rows) for p in positions)))
-
-    def _key_error(
-        self, rows: list[Row], index_keys: list[tuple[Index, list[tuple]]]
-    ) -> IntegrityError | None:
-        """The key error inserting ``rows`` in turn would raise first, if any.
-
-        A NULL test per primary-key column and one set per unique index
-        settle the common case; only a clash walks the rows to find the
-        first offender.
-        """
-        positions = self.schema.primary_key_positions
-        if not any(
-            None in map(itemgetter(p), rows) for p in positions
-        ) and all(
-            len(set(keys)) == len(keys)
-            for index, keys in index_keys
-            if index.unique
-        ):
-            return None
-        seen: list[set[tuple]] = [set() for _ in index_keys]
-        for position, row in enumerate(rows):
-            if any(row[p] is None for p in positions):
-                return self._null_key_error()
-            for (index, keys), keys_seen in zip(index_keys, seen):
-                key = keys[position]
-                if index.unique and key in keys_seen and None not in key:
-                    return index.violation(key)
-                keys_seen.add(key)
-        return None
 
     def _null_key_error(self) -> IntegrityError:
         return IntegrityError(

@@ -29,8 +29,8 @@ class TypeKind(enum.Enum):
     BOOLEAN = "BOOLEAN"
     DATE = "DATE"
     TIMESTAMP = "TIMESTAMP"
-    #: Pass-through type for federation temp tables holding computed
-    #: columns (shipped aggregates) whose type is only known dynamically.
+    #: Pass-through type for shipped fragment columns holding computed
+    #: values (shipped aggregates) whose type is only known dynamically.
     ANY = "ANY"
 
 

@@ -20,6 +20,7 @@ import pytest
 
 from repro.cache import FragmentCache, LRUCache, PlanCache
 from repro.cache.fragments import CachedFragment
+from repro.storage import Fragment
 from repro.myriad import MyriadSystem
 from repro.workloads import build_bank_sites
 
@@ -73,23 +74,23 @@ class TestFragmentCacheHits:
         store, materialize = FragmentCache.store, CachedFragment.materialize
 
         def spy_store(self, *args, **kwargs):
-            stored.append(args[6])  # the rows
+            stored.append(args[5])  # the fragment
             return store(self, *args, **kwargs)
 
         def spy_materialize(self):
-            rows = materialize(self)
-            served.append(rows)
-            return rows
+            fragment = materialize(self)
+            served.append(fragment)
+            return fragment
 
         monkeypatch.setattr(FragmentCache, "store", spy_store)
         monkeypatch.setattr(CachedFragment, "materialize", spy_materialize)
         first = bank.query("bank", BALANCES)
-        snapshots = [list(rows) for rows in stored]
+        snapshots = [fragment.rows() for fragment in stored]
         second = bank.query("bank", BALANCES)
         assert second.rows == first.rows
         assert len(served) == len(stored) == 3
         assert all(any(s is r for r in stored) for s in served)
-        assert stored == snapshots
+        assert [fragment.rows() for fragment in stored] == snapshots
 
     def test_distinct_fragments_cached_separately(self, bank):
         bank.query("bank", BALANCES)
@@ -464,13 +465,17 @@ class TestCachePrimitives:
 
     def test_fragment_cache_rejects_racing_store(self):
         cache = FragmentCache()
-        cache.store("s", "e", "SELECT 1", (0, 1), (0, 2), ["c"], [(1,)])
+        cache.store(
+            "s", "e", "SELECT 1", (0, 1), (0, 2), Fragment.from_rows(["c"], [(1,)])
+        )
         assert cache.lookup("s", "e", "SELECT 1", (0, 2)) is None
         assert len(cache) == 0
 
     def test_fragment_cache_stale_entry_dropped_on_sight(self):
         cache = FragmentCache()
-        cache.store("s", "e", "SELECT 1", (0, 1), (0, 1), ["c"], [(1,)])
+        cache.store(
+            "s", "e", "SELECT 1", (0, 1), (0, 1), Fragment.from_rows(["c"], [(1,)])
+        )
         assert cache.lookup("s", "e", "SELECT 1", (0, 1)) is not None
         assert cache.lookup("s", "e", "SELECT 1", (0, 2)) is None
         assert cache.stats["stale_drops"] == 1

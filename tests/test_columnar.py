@@ -27,6 +27,7 @@ from repro.engine.columnar import run_vectorized
 from repro.engine.planner import BATCH_MIN_ROWS
 from repro.net.codec import decode_fragment, encode_fragment
 from repro.net.sim import estimate_rows_bytes
+from repro.storage import Fragment
 from repro.sql import parse_query
 from repro.storage import Catalog
 from repro.workloads import build_bank_sites
@@ -180,6 +181,14 @@ _value = st.one_of(
 )
 
 
+def _encode(columns, rows):
+    return encode_fragment(Fragment.from_rows(columns, rows))
+
+
+def _decode(encoded):
+    return decode_fragment(encoded).rows()
+
+
 @given(
     rows=st.lists(
         st.tuples(_value, _value, _value), min_size=0, max_size=120
@@ -188,8 +197,8 @@ _value = st.one_of(
 @settings(max_examples=60, deadline=None)
 def test_codec_round_trip_and_wire_bound(rows):
     columns = ["a", "b", "c"]
-    fragment = encode_fragment(columns, rows)
-    decoded = decode_fragment(fragment)
+    fragment = _encode(columns, rows)
+    decoded = _decode(fragment)
     assert len(decoded) == len(rows)
     for got, want in zip(decoded, rows):
         assert len(got) == len(want)
@@ -201,29 +210,29 @@ def test_codec_round_trip_and_wire_bound(rows):
 
 
 def test_codec_empty_fragment():
-    fragment = encode_fragment(["a"], [])
+    fragment = _encode(["a"], [])
     assert fragment.codec == "raw"
-    assert decode_fragment(fragment) == []
+    assert _decode(fragment) == []
 
 
 def test_codec_no_columns():
     rows = [(), (), ()]
-    fragment = encode_fragment([], rows)
-    assert decode_fragment(fragment) == rows
+    fragment = _encode([], rows)
+    assert _decode(fragment) == rows
 
 
 def test_codec_single_value_dictionary():
     rows = [("constant",)] * 500
-    fragment = encode_fragment(["s"], rows)
-    assert decode_fragment(fragment) == rows
+    fragment = _encode(["s"], rows)
+    assert _decode(fragment) == rows
     # A constant column collapses to one stored value either way.
     assert fragment.wire_bytes < fragment.raw_bytes / 10
 
 
 def test_codec_nulls_round_trip():
     rows = [(None, 1), (None, None), (None, 2)] * 40
-    fragment = encode_fragment(["a", "b"], rows)
-    assert decode_fragment(fragment) == rows
+    fragment = _encode(["a", "b"], rows)
+    assert _decode(fragment) == rows
     assert fragment.wire_bytes < fragment.raw_bytes
 
 
@@ -233,17 +242,17 @@ def test_codec_incompressible_falls_back_to_raw():
         ("".join(chr(rng.randrange(33, 127)) for _ in range(24)),)
         for _ in range(300)
     ]
-    fragment = encode_fragment(["s"], rows)
+    fragment = _encode(["s"], rows)
     assert fragment.codec == "raw"
     assert fragment.wire_bytes == fragment.raw_bytes
-    assert decode_fragment(fragment) == rows
+    assert _decode(fragment) == rows
 
 
 def test_codec_true_one_type_strict():
     # True == 1 == 1.0 in Python; the codec must not collapse them.
     rows = [(True,), (1,), (1.0,), (True,), (1,)] * 30
-    fragment = encode_fragment(["x"], rows)
-    decoded = decode_fragment(fragment)
+    fragment = _encode(["x"], rows)
+    decoded = _decode(fragment)
     for got, want in zip(decoded, rows):
         assert type(got[0]) is type(want[0])
 

@@ -401,19 +401,23 @@ class TestPushdownThroughExports:
 
 
 class TestNormalizeRows:
-    """Shipped rows are canonicalised a column at a time."""
+    """Shipped fragments are canonicalised a column at a time."""
 
     def test_rows_without_decimals_come_back_untouched(self):
-        from repro.gateway.gateway import _normalize_rows
+        from repro.gateway.gateway import _normalize_fragment
+        from repro.storage import Fragment
 
         rows = [(1, "a", 2.5, None), (2, "b", 3.0, True)]
-        assert _normalize_rows(rows) is rows
-        assert _normalize_rows([]) == []
+        fragment = Fragment.from_rows(["a", "b", "c", "d"], rows)
+        assert _normalize_fragment(fragment) is fragment
+        empty = Fragment.from_rows(["a"], [])
+        assert _normalize_fragment(empty).rows() == []
 
     def test_decimal_columns_match_value_by_value_normalisation(self):
         from decimal import Decimal
 
-        from repro.gateway.gateway import _normalize_rows, _normalize_value
+        from repro.gateway.gateway import _normalize_fragment, _normalize_value
+        from repro.storage import Fragment
 
         rows = [
             (1, Decimal("2.50"), "x", Decimal("7")),
@@ -421,7 +425,9 @@ class TestNormalizeRows:
             (3, Decimal("4"), None, None),
         ]
         expected = [tuple(map(_normalize_value, row)) for row in rows]
-        got = _normalize_rows(rows)
+        got = _normalize_fragment(
+            Fragment.from_rows(["a", "b", "c", "d"], rows)
+        ).rows()
         assert got == expected
         assert [list(map(type, row)) for row in got] == [
             list(map(type, row)) for row in expected

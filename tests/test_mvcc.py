@@ -10,9 +10,19 @@ three satellite bugfixes (txn-id collisions, counter races, script leaks).
 import threading
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.concurrency.wal import LogRecordType
-from repro.errors import LockTimeoutError, ParseError, TransactionError
+from repro.engine import LocalPlanner
+from repro.engine.columnar import run_vectorized
+from repro.engine.operators import ExecContext
+from repro.errors import (
+    IntegrityError,
+    LockTimeoutError,
+    ParseError,
+    TransactionError,
+)
 from repro.localdb import PostgresDBMS
 from repro.sql import ast, parse_statement
 from repro.sql.printer import to_sql
@@ -264,6 +274,228 @@ class TestIndexScanUnderSnapshot:
         assert reader.execute("SELECT v FROM t WHERE k = 8").scalar() == 80
         reader.commit()
         assert dbms.execute("SELECT v FROM t WHERE k = 50").scalar() == 500
+
+
+def _scan(dbms, sql, snapshot, batch):
+    """Rows and rows_scanned of one planned query under ``snapshot``,
+    row-at-a-time or batch-at-a-time."""
+    plan = LocalPlanner(dbms.catalog).plan_query(parse_statement(sql))
+    ctx = ExecContext(snapshot=snapshot)
+    rows = run_vectorized(plan, ctx) if batch else list(plan.rows(ctx))
+    return rows, ctx.rows_scanned
+
+
+_KEYS = st.integers(0, 12)
+_HISTORY = st.lists(
+    st.one_of(
+        st.tuples(st.just("insert"), _KEYS, st.integers(0, 99)),
+        st.tuples(st.just("update"), _KEYS, st.integers(0, 99)),
+        st.tuples(st.just("rekey"), _KEYS, _KEYS),
+        st.tuples(st.just("delete"), _KEYS),
+        st.sampled_from(
+            [("commit",), ("abort",), ("snapshot",), ("release",), ("vacuum",)]
+        ),
+    ),
+    max_size=25,
+)
+
+
+class TestSnapshotScanFastPath:
+    """Snapshot scans read the live heap in one pass when it is the read
+    view, else patch only the changed RIDs in; both must return what the
+    per-RID ``visible_value`` reference returns."""
+
+    SEQ = ("SELECT k, v FROM t", "SELECT v FROM t WHERE v > 20")
+    INDEX = ("SELECT k, v FROM t WHERE k = 4", "SELECT k, v FROM t WHERE k >= 5")
+
+    def _check(self, dbms, snapshot):
+        table = dbms.catalog.get_table("t")
+        manager = dbms.transactions
+        reference = [row for _, row in snapshot.visible_items(table)]
+        assert snapshot.visible_rows(table) == reference
+        filtered = [(v,) for _, v in reference if v > 20]
+        for sql, expected in zip(self.SEQ, (reference, filtered)):
+            for batch in (False, True):
+                assert _scan(dbms, sql, snapshot, batch) == (
+                    expected,
+                    len(reference),
+                )
+        for sql in self.INDEX:
+            assert "IndexScan" in LocalPlanner(dbms.catalog).plan_query(
+                parse_statement(sql)
+            ).explain()
+            # The reference: every scan re-checks the full changed set.
+            manager.heap_is_visible = lambda table, ts: False
+            try:
+                expected = _scan(dbms, sql, snapshot, False)
+            finally:
+                del manager.heap_is_visible
+            for batch in (False, True):
+                assert _scan(dbms, sql, snapshot, batch) == expected
+
+    @settings(max_examples=150, deadline=None)
+    @given(_HISTORY)
+    def test_matches_per_rid_reference(self, history):
+        db = PostgresDBMS("s", lock_timeout=0.05)
+        db.execute("CREATE TABLE t (k INTEGER PRIMARY KEY, v INTEGER)")
+        for k in range(0, 12, 2):
+            db.execute(f"INSERT INTO t VALUES ({k}, {k * 10})")
+        writer = db.connect()
+        snapshots = []
+        for step in history:
+            kind = step[0]
+            statement = {
+                "insert": "INSERT INTO t VALUES ({}, {})",
+                "update": "UPDATE t SET v = {1} WHERE k = {0}",
+                "rekey": "UPDATE t SET k = {1} WHERE k = {0}",
+                "delete": "DELETE FROM t WHERE k = {}",
+            }.get(kind)
+            if statement is not None:
+                if not writer.in_transaction:
+                    writer.begin()
+                try:
+                    writer.execute(statement.format(*step[1:]))
+                except IntegrityError:
+                    pass  # a duplicate key: the statement changed nothing
+            elif kind == "commit":
+                writer.commit()
+            elif kind == "abort":
+                writer.rollback()  # undo restores deleted RIDs
+            elif kind == "snapshot":
+                snapshots.append(db.transactions.begin_snapshot())
+            elif kind == "release" and snapshots:
+                snapshots.pop(0).release()
+            elif kind == "vacuum":
+                db.transactions.vacuum()
+            fresh = db.transactions.begin_snapshot()
+            for snapshot in snapshots + [fresh]:
+                self._check(db, snapshot)
+            fresh.release()
+
+    def test_unchanged_table_scan_resolves_no_rid(self, dbms, monkeypatch):
+        """A snapshot scan of a table nobody wrote since the snapshot reads
+        the heap: no per-RID visibility check at all."""
+        import repro.concurrency.mvcc as mvcc
+
+        writer = dbms.connect()
+        writer.begin()
+        writer.execute("UPDATE t SET v = -1 WHERE k = 3")
+        writer.rollback()
+        dbms.execute("UPDATE t SET v = 7 WHERE k = 5")  # before the snapshot
+
+        def refuse(*args, **kwargs):
+            raise AssertionError("per-RID visibility check")
+
+        monkeypatch.setattr(mvcc, "visible_value", refuse)
+        snapshot = dbms.transactions.begin_snapshot()
+        table = dbms.catalog.get_table("t")
+        assert [row[0] for row in snapshot.visible_rows(table)] == list(range(10))
+        for batch in (False, True):
+            rows, scanned = _scan(dbms, "SELECT k FROM t", snapshot, batch)
+            assert len(rows) == scanned == 10
+            assert _scan(dbms, "SELECT v FROM t WHERE k = 5", snapshot, batch)[
+                0
+            ] == [(7,)]
+        snapshot.release()
+
+    def test_scans_count_their_path(self, dbms):
+        manager = dbms.transactions
+        heap, patched = manager.heap_scans, manager.patched_scans
+        dbms.execute("SELECT * FROM t")
+        assert (manager.heap_scans, manager.patched_scans) == (heap + 1, patched)
+        writer = dbms.connect()
+        writer.begin()
+        writer.execute("UPDATE t SET v = 0 WHERE k = 1")
+        assert dbms.execute("SELECT v FROM t WHERE k = 1").scalar() == 10
+        assert (manager.heap_scans, manager.patched_scans) == (
+            heap + 1,
+            patched + 1,
+        )
+        writer.rollback()
+
+
+class TestSnapshotScanUnderConcurrentWriters:
+    """Readers scanning snapshots while writers move value between rows,
+    delete and re-insert keys, and abort half their transactions: every
+    scan must see one committed state (same keys, same total)."""
+
+    ROWS = 48  # above BATCH_MIN_ROWS: full scans run as batches
+
+    def test_scans_see_committed_states_only(self):
+        import random
+        import sys
+        import time
+
+        db = PostgresDBMS("s", lock_timeout=0.02)
+        db.execute("CREATE TABLE t (k INTEGER PRIMARY KEY, v INTEGER)")
+        for k in range(self.ROWS):
+            db.execute(f"INSERT INTO t VALUES ({k}, 100)")
+        total = 100 * self.ROWS
+        keys = list(range(self.ROWS))
+        stop = threading.Event()
+        failures: list[str] = []
+        scans = [0]
+
+        def writer(seed):
+            rng = random.Random(seed)
+            session = db.connect()
+            while not stop.is_set():
+                a, b = rng.sample(keys, 2)
+                amount = rng.randrange(1, 50)
+                try:
+                    session.begin()
+                    session.execute(f"UPDATE t SET v = v - {amount} WHERE k = {a}")
+                    session.execute(f"UPDATE t SET v = v + {amount} WHERE k = {b}")
+                    if rng.random() < 0.25:
+                        value = session.execute(
+                            f"SELECT v FROM t WHERE k = {b}"
+                        ).scalar()
+                        session.execute(f"DELETE FROM t WHERE k = {b}")
+                        session.execute(f"INSERT INTO t VALUES ({b}, {value})")
+                    if rng.random() < 0.5:
+                        session.rollback()  # undo restores the deleted RID
+                    else:
+                        session.commit()
+                except LockTimeoutError:
+                    session.rollback()
+
+        def reader(seed):
+            sqls = (
+                "SELECT k, v FROM t",  # batch
+                "SELECT k, v FROM t LIMIT 1000",  # row-at-a-time
+                "SELECT k, v FROM t WHERE k >= 0",  # index range scan
+            )
+            position = seed
+            while not stop.is_set():
+                sql = sqls[position % len(sqls)]
+                position += 1
+                rows = db.execute(sql).rows
+                scans[0] += 1
+                if sorted(k for k, _ in rows) != keys or sum(
+                    v for _, v in rows
+                ) != total:
+                    failures.append(sql)
+
+        previous = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)
+        try:
+            threads = [
+                threading.Thread(target=writer, args=(i,)) for i in range(2)
+            ] + [threading.Thread(target=reader, args=(i,)) for i in range(3)]
+            for thread in threads:
+                thread.start()
+            time.sleep(2.0)
+            stop.set()
+            for thread in threads:
+                thread.join(timeout=10)
+        finally:
+            sys.setswitchinterval(previous)
+            stop.set()
+        assert not any(thread.is_alive() for thread in threads)
+        assert scans[0] > 0
+        assert failures == []
+        manager = db.transactions
+        assert manager.heap_scans > 0 and manager.patched_scans > 0
 
 
 class TestTxnIdRegression:

@@ -8,7 +8,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro import MyriadSystem
-from repro.engine import ResultSet
+from repro.engine import LocalEngine, LocalPlanner, ResultSet
+from repro.engine.columnar import Batch
 from repro.net import MessageTrace
 from repro.obs import (
     DISABLED,
@@ -23,11 +24,13 @@ from repro.obs import (
 )
 from repro.query.executor import GlobalResult
 from repro.query.localizer import Fetch
+from repro.sql import parse_statement
 from repro.storage import (
     FLOAT,
     INTEGER,
     Catalog,
     Column,
+    Fragment,
     Index,
     Table,
     TableSchema,
@@ -565,8 +568,28 @@ class TestExplainAnalyze:
 
 
 # ---------------------------------------------------------------------------
-# Fragment materialisation bugfix
+# Fragment canonicalisation and the residual's keyed/keyless reads
 # ---------------------------------------------------------------------------
+
+
+def _residual(tables: dict, sql: str):
+    """Run ``sql`` at a federation-site engine over ``tables``: fragments
+    (read in place) or heap tables (in a catalog).  Returns the rows, the
+    engine's report and the plan text."""
+    catalog = Catalog("fed")
+    fragments = {}
+    for name, relation in tables.items():
+        if isinstance(relation, Fragment):
+            fragments[name] = relation
+        else:
+            table = catalog.create_table(relation.schema.rename(name))
+            for _, row in relation.scan():
+                table.insert(row)
+    engine = LocalEngine(catalog)
+    query = parse_statement(sql)
+    rows = engine.execute_query(query, fragments=fragments).rows
+    planner = LocalPlanner(catalog, fragments)
+    return rows, engine.last_report, planner.plan_query(query).explain()
 
 
 class TestRegisterFragmentDuplicates:
@@ -583,57 +606,78 @@ class TestRegisterFragmentDuplicates:
         )
         return executor, fetch
 
-    def test_duplicate_pk_rows_fall_back_to_keyless(self):
+    def _keyed_read(self, rows):
         executor, fetch = self._executor_and_fetch()
-        catalog = Catalog("test")
-        shipped = ResultSet(["k", "flt"], [(1, 0.5), (1, 0.6), (2, 0.7)])
-        executor._register_fragment(catalog, fetch, shipped)
-        table = catalog.get_table("__frag_lhs")
-        assert len(table) == 3
-        assert table.schema.primary_key == []
+        fragment = executor._canonical_fragment(
+            fetch, Fragment.from_rows(["k", "flt"], rows)
+        )
+        return fragment, _residual(
+            {"__frag_lhs": fragment}, "SELECT k, flt FROM __frag_lhs WHERE k = 1"
+        )
+
+    def test_duplicate_pk_rows_fall_back_to_keyless(self):
+        fragment, (rows, report, plan) = self._keyed_read(
+            [(1, 0.5), (1, 0.6), (2, 0.7)]
+        )
+        assert len(fragment) == 3
+        assert fragment.key_index() is None
+        assert rows == [(1, 0.5), (1, 0.6)]
+        assert report.rows_scanned == 3 and "KEY" not in plan
 
     def test_null_pk_rows_fall_back_to_keyless(self):
-        executor, fetch = self._executor_and_fetch()
-        catalog = Catalog("test")
-        shipped = ResultSet(["k", "flt"], [(None, 0.5), (2, 0.7)])
-        executor._register_fragment(catalog, fetch, shipped)
-        table = catalog.get_table("__frag_lhs")
-        assert len(table) == 2
-        assert table.schema.primary_key == []
+        fragment, (rows, report, plan) = self._keyed_read([(None, 0.5), (2, 0.7)])
+        assert len(fragment) == 2
+        assert fragment.key_index() is None
+        assert rows == [] and report.rows_scanned == 2 and "KEY" not in plan
 
     def test_unique_pk_rows_keep_the_key(self):
-        executor, fetch = self._executor_and_fetch()
-        catalog = Catalog("test")
-        shipped = ResultSet(["k", "flt"], [(1, 0.5), (2, 0.7)])
-        executor._register_fragment(catalog, fetch, shipped)
-        table = catalog.get_table("__frag_lhs")
-        assert len(table) == 2
-        assert [k.lower() for k in table.schema.primary_key] == ["k"]
+        fragment, (rows, report, plan) = self._keyed_read([(1, 0.5), (2, 0.7)])
+        assert len(fragment) == 2
+        assert [k.lower() for k in fragment.key] == ["k"]
+        assert fragment.key_index() is not None
+        assert rows == [(1, 0.5)]
+        assert report.rows_scanned == 1 and "KEY = (1,)" in plan
 
 
 def _register_per_row(rows):
-    """The per-row registration the bulk load replaced: pre-scan the raw
-    keys for duplicates or NULLs, then ``Table.insert`` every row."""
+    """The per-row registration the canonical fragment replaced: pre-scan
+    the raw keys for duplicates or NULLs, then ``Table.insert`` every row."""
     columns = [Column("k", INTEGER), Column("flt", FLOAT)]
     keys = [row[0] for row in rows]
     keyed = None not in keys and len(set(keys)) == len(keys)
-    table = Table(TableSchema("ref", columns, ["k"] if keyed else []))
+    table = Table(TableSchema("__frag_lhs", columns, ["k"] if keyed else []))
     for row in rows:
         table.insert(row)
     return table
 
 
 def _registration(register):
+    """Rows, their Python types and the key the residual may probe by, or
+    the error raised; plus what key-probing residual reads return."""
     try:
-        table = register()
+        relation = register()
     except Exception as error:
         return ("error", type(error), str(error))
-    rows = [row for _, row in table.scan()]
-    return rows, [tuple(map(type, row)) for row in rows], table.schema.primary_key
+    if isinstance(relation, Fragment):
+        rows = relation.rows()
+        key = list(relation.key) if relation.key_index() is not None else []
+    else:
+        rows = [row for _, row in relation.scan()]
+        key = relation.schema.primary_key
+    reads = [
+        _residual({"__frag_lhs": relation}, f"SELECT * FROM __frag_lhs {where}")
+        for where in ("WHERE k = 1", "WHERE k >= 1", "WHERE k < 2")
+    ]
+    return (
+        rows,
+        [tuple(map(type, row)) for row in rows],
+        key,
+        [(rows, report.rows_scanned) for rows, report, _ in reads],
+    )
 
 
 class TestRegisterFragmentBulk:
-    """The bulk load against the per-row registration it replaced."""
+    """The canonical fragment against the per-row registration it replaced."""
 
     # Key values that collide in a set (1, 1.0, True; 0, False), a NULL
     # and a non-integral float; FLOAT values of every coercible type.
@@ -646,15 +690,12 @@ class TestRegisterFragmentBulk:
         @settings(max_examples=300, deadline=None)
         @given(st.lists(st.tuples(self.KEYS, self.FLTS), max_size=8))
         def check(rows):
-            catalog = Catalog("test")
-
-            def bulk():
-                executor._register_fragment(
-                    catalog, fetch, ResultSet(["k", "flt"], rows)
+            def canonical():
+                return executor._canonical_fragment(
+                    fetch, Fragment.from_rows(["k", "flt"], rows)
                 )
-                return catalog.get_table("__frag_lhs")
 
-            assert _registration(bulk) == _registration(
+            assert _registration(canonical) == _registration(
                 lambda: _register_per_row(rows)
             )
 
@@ -673,10 +714,58 @@ class TestRegisterFragmentBulk:
             (Index, "insert"),
         ):
             monkeypatch.setattr(owner, name, refuse)
-        rows = [(k, k / 1000) for k in range(1000)]
-        catalog = Catalog("test")
-        executor._register_fragment(catalog, fetch, ResultSet(["k", "flt"], rows))
-        table = catalog.get_table("__frag_lhs")
-        assert table.schema.primary_key == ["k"]
-        assert all(a is b for a, b in zip(table.rows.values(), rows))
-        assert table.fetch_by_key((7,)) == (8, (7, 0.007))
+        shipped = Fragment.from_rows(
+            ["k", "flt"], [(k, k / 1000) for k in range(1000)]
+        )
+        fragment = executor._canonical_fragment(fetch, shipped)
+        assert fragment.key == ("k",)
+        assert all(a is b for a, b in zip(fragment.columns, shipped.columns))
+        rows, report, _ = _residual(
+            {"__frag_lhs": fragment}, "SELECT * FROM __frag_lhs WHERE k = 7"
+        )
+        assert rows == [(7, 0.007)] and report.rows_scanned == 1
+
+    def test_batch_residual_reads_fragments_in_place(self, monkeypatch):
+        """A canonical 2,000-row fragment joined by a batch residual is
+        never transposed, inserted or validated value by value."""
+        executor, fetch = TestRegisterFragmentDuplicates()._executor_and_fetch()
+        right = Fetch(
+            index=1,
+            site="s2",
+            export="right_rel",
+            binding="rhs",
+            temp_name="__frag_rhs",
+            columns=["k", "val"],
+        )
+
+        def refuse(*args, **kwargs):
+            raise AssertionError("per-row path taken")
+
+        for owner, name in (
+            (Batch, "from_rows"),
+            (Table, "insert"),
+            (Column, "validate"),
+        ):
+            monkeypatch.setattr(owner, name, refuse)
+        n = 2000
+        fragments = {
+            "__frag_lhs": executor._canonical_fragment(
+                fetch,
+                Fragment.from_rows(["k", "flt"], [(k, k / n) for k in range(n)]),
+            ),
+            "__frag_rhs": executor._canonical_fragment(
+                right,
+                Fragment.from_rows(
+                    ["k", "val"], [(k, float(k)) for k in range(n)]
+                ),
+            ),
+        }
+        rows, report, plan = _residual(
+            fragments,
+            "SELECT l.k, r.val FROM __frag_lhs l JOIN __frag_rhs r "
+            "ON l.k = r.k WHERE l.flt < 0.5",
+        )
+        assert report.strategy == "batch"
+        assert report.rows_scanned == 2 * n
+        assert rows == [(k, float(k)) for k in range(n // 2)]
+        assert plan.count("FragmentScan") == 2

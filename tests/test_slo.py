@@ -512,6 +512,23 @@ class TestOpsConsoleAndBundles:
         assert "mvcc s1:" in dashboard
         assert "slo availability [availability 99%]: ok" in dashboard
 
+    def test_snapshot_scan_paths_are_counted(self):
+        system = self._loaded_system()
+        mvcc = federation_stats(system)["sites"]["s1"]["mvcc"]
+        # Two fetches from s1, nothing written since: both read the heap.
+        assert (mvcc["heap_scans"], mvcc["patched_scans"]) == (2, 0)
+        writer = system.component("s1").connect()
+        writer.begin()
+        writer.execute("UPDATE left_t SET flt = flt WHERE k = 1")
+        # A new statement, so the fetch ships rather than hits the cache.
+        system.query("synth", "SELECT k FROM lhs WHERE flt < 0.25")
+        writer.rollback()
+        mvcc = federation_stats(system)["sites"]["s1"]["mvcc"]
+        assert (mvcc["heap_scans"], mvcc["patched_scans"]) == (2, 1)
+        dashboard = render_dashboard(introspection_snapshot(system))
+        assert "mvcc s1: commit_ts=" in dashboard
+        assert "scans=heap:2/patched:1" in dashboard
+
     def test_dashboard_tolerates_pre_ops_snapshots(self):
         # Bundles written before PR 8 have no windows/slos/caches keys.
         old = {"federation_stats": {"sites": {}, "network": {}}}

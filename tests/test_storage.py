@@ -17,6 +17,7 @@ from repro.storage import (
     Catalog,
     Column,
     DataType,
+    Fragment,
     HashIndex,
     INTEGER,
     OrderedIndex,
@@ -353,49 +354,82 @@ def _insert_each(rows):
     return fill
 
 
+def _canonical(schema, rows):
+    """The fragment canonicaliser's outcome in :func:`_outcome`'s terms
+    (row ``i`` of a fragment stands where RID ``i + 1`` would)."""
+    try:
+        fragment = Fragment.from_rows(schema.column_names, rows).canonical(
+            schema
+        )
+    except Exception as error:
+        return ("error", type(error), str(error)), None
+    outcome = (
+        "rows",
+        [
+            (rid, row, tuple(map(type, row)))
+            for rid, row in enumerate(fragment.rows(), 1)
+        ],
+        len(rows) + 1,
+        {},
+    )
+    return outcome, fragment
+
+
 class TestBulkLoad:
-    """``Table.load`` against ``Table.insert`` on each row in turn."""
+    """The fragment canonicaliser against ``Table.insert`` on each row."""
 
     @settings(max_examples=500, deadline=None)
     @given(_loads())
     def test_matches_per_row_insert(self, load):
-        schema, unique, rows = load
-        expected = _outcome(_fresh_table(schema, unique), _insert_each(rows))
-        table = _fresh_table(schema, unique)
-        assert _outcome(table, lambda t: t.load(rows)) == expected
-        if expected[0] == "error":
-            assert len(table) == 0 and table.next_rid == 1
+        schema, _, rows = load
+        # Values and errors: the per-row oracle on the same columns, keyless
+        # (a fragment's key never refuses a row, it only enables probes).
+        keyless = TableSchema(schema.name, schema.columns)
+        expected = _outcome(Table(keyless), _insert_each(rows))
+        got, fragment = _canonical(schema, rows)
+        if any(len(row) != len(schema.columns) for row in rows):
+            # A fragment cannot hold a ragged row: it is refused before
+            # any value is looked at.
+            assert expected[0] == "error"
+            assert got[:2] == ("error", IntegrityError)
+            return
+        assert got == expected
+        if fragment is not None and schema.primary_key:
+            # Keyed exactly when inserting each row under the key succeeds.
+            keyed = _outcome(Table(schema), _insert_each(rows))[0] == "rows"
+            assert (fragment.key_index() is not None) == keyed
 
     def test_canonical_rows_are_stored_as_given(self):
         rows = [(i, f"n{i}", i % 3) for i in range(50)]
-        table = Table(make_schema())
-        table.load(rows)
-        assert all(a is b for a, b in zip(table.rows.values(), rows))
-        assert table.fetch_by_key((7,)) == (8, rows[7])
+        shipped = Fragment.from_rows(["id", "name", "grp"], rows)
+        fragment = shipped.canonical(make_schema())
+        assert all(a is b for a, b in zip(fragment.columns, shipped.columns))
+        assert fragment.row(fragment.key_index()[(7,)]) == rows[7]
 
     def test_duplicate_key_names_the_first_clash(self):
+        rows = [(1, "a", 1), (2, "b", 2), (1.0, "c", 3)]
         table = Table(make_schema())
         with pytest.raises(IntegrityError, match=r"violation on key \(1,\)"):
-            table.load([(1, "a", 1), (2, "b", 2), (1.0, "c", 3)])
-        assert len(table) == 0
-
-    def test_only_a_fresh_table_loads(self):
-        table = Table(make_schema())
-        table.insert([1, "a", 1])
-        table.delete(1)
-        with pytest.raises(IntegrityError):
-            table.load([(2, "b", 2)])
+            _insert_each(rows)(table)
+        # The clash the per-row insert names makes the fragment keyless.
+        fragment = Fragment.from_rows(["id", "name", "grp"], rows).canonical(
+            make_schema()
+        )
+        assert fragment.key == ("id",) and fragment.key_index() is None
 
     def test_loaded_ordered_index_sorts_on_first_range_scan(self):
-        table = Table(make_schema())
-        table.load([(k, None, None) for k in (5, 1, 3)])
-        index = table.indexes["__pk_t"]
-        assert [k for k, _ in index.range_scan((2,), None)] == [(3,), (5,)]
-        table.insert([4, None, None])
-        table.delete(2)  # the row keyed 1
-        assert [k for k, _ in index.range_scan(None, None)] == [
-            (3,), (4,), (5,)
-        ]
+        fragment = Fragment.from_rows(
+            ["id", "name", "grp"], [(k, None, None) for k in (5, 1, 3)]
+        ).canonical(make_schema())
+        assert fragment._sorted is None  # sorted on the first range scan
+        keys = [fragment.row(p)[0] for p in fragment.key_range((2,), None)]
+        assert keys == [3, 5]
+        assert [
+            fragment.row(p)[0] for p in fragment.key_range(None, None)
+        ] == [1, 3, 5]
+        assert [
+            fragment.row(p)[0] for p in fragment.key_range((1,), (5,), False, False)
+        ] == [3]
 
 
 class TestCatalog:
