@@ -27,8 +27,9 @@ SQL_AGG = (
 SQL_FILTER = "SELECT k FROM measurements WHERE val < 0.05"
 
 #: Overhead measurement: best-of-BATCHES batches of BATCH_QUERIES queries,
-#: alternating between the two systems so scheduler noise hits both alike.
-BATCHES = 7
+#: in pairs that alternate which system runs first, so scheduler noise and
+#: any drift within a pair hit both alike.
+BATCHES = 15
 BATCH_QUERIES = 3
 
 
@@ -61,9 +62,13 @@ def test_e12_overhead(benchmark):
     # Claim 2: < 5 % wall-clock overhead, best-of-batches (alternating so
     # transient machine noise cannot bias one side).
     on_times, off_times = [], []
-    for _ in range(BATCHES):
-        on_times.append(_batch_seconds(enabled))
-        off_times.append(_batch_seconds(disabled))
+    for pair in range(BATCHES):
+        if pair % 2:
+            off_times.append(_batch_seconds(disabled))
+            on_times.append(_batch_seconds(enabled))
+        else:
+            on_times.append(_batch_seconds(enabled))
+            off_times.append(_batch_seconds(disabled))
     best_on, best_off = min(on_times), min(off_times)
     overhead = best_on / best_off - 1.0
 

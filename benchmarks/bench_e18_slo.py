@@ -51,7 +51,8 @@ HEAVY_SQL = "SELECT acct, balance FROM accounts WHERE balance >= 0"
 #: Point lookup: one row shipped, always under the threshold.
 CHEAP_SQL = "SELECT balance FROM accounts WHERE acct = 0"
 
-BATCHES = 7
+#: Overhead pairs, alternating which system runs first (the E12 protocol).
+BATCHES = 15
 BATCH_QUERIES = 3
 
 
@@ -275,9 +276,13 @@ def test_e18_slo(benchmark):
     )
 
     on_times, off_times = [], []
-    for _ in range(BATCHES):
-        on_times.append(_batch_seconds(enabled))
-        off_times.append(_batch_seconds(disabled))
+    for pair in range(BATCHES):
+        if pair % 2:
+            off_times.append(_batch_seconds(disabled))
+            on_times.append(_batch_seconds(enabled))
+        else:
+            on_times.append(_batch_seconds(enabled))
+            off_times.append(_batch_seconds(disabled))
     overhead = min(on_times) / min(off_times) - 1.0
 
     # ------------------------------------------------------------------

@@ -157,7 +157,7 @@ class LocalEngine:
     def last_report(self) -> ExecutionReport:
         """Work accounting of the last statement *this thread* executed.
 
-        Thread-local so concurrent gateway fetches can't read each
+        Thread-local so concurrent server sessions can't read each
         other's row counts (the gateway charges simulated compute from
         it immediately after executing).
         """

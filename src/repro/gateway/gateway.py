@@ -78,8 +78,8 @@ class Gateway:
         #: let a stale recomputation overwrite a fresher ``refresh=True``).
         self._stats_flights: dict[str, threading.Lock] = {}
         #: Narrow mutex for the gateway's shared maps/counters.  Never held
-        #: across a network send or a local execution — parallel fetches
-        #: must not convoy behind a branch stuck in a lock wait.
+        #: across a network send or a local execution — concurrent server
+        #: sessions must not convoy behind one stuck in a lock wait.
         self._mutex = threading.Lock()
         #: Bumped whenever cached statistics are invalidated (DML commit,
         #: export change); part of the global plan-cache key.

@@ -37,7 +37,6 @@ class MyriadSystem:
         query_timeout: float | None = 5.0,
         default_optimizer: str = "cost",
         observability: bool = True,
-        parallel_fetches: int = 4,
         plan_cache_size: int = 64,
         fragment_cache: bool | int = True,
         mvcc_reads: bool = True,
@@ -82,11 +81,9 @@ class MyriadSystem:
         self.gateways: dict[str, Gateway] = {}
         self.federations: dict[str, Federation] = {}
         self.default_optimizer = default_optimizer
-        #: Performance knobs, applied to every federation's processor:
-        #: fetch thread-pool width (1 = sequential), compiled-plan LRU size
-        #: (0 = off), and the fragment cache (False = off, or an int
-        #: capacity).  See README "Performance: parallel fetches & caching".
-        self.parallel_fetches = parallel_fetches
+        #: Cache knobs, applied to every federation's processor:
+        #: compiled-plan LRU size (0 = off) and the fragment cache (False =
+        #: off, or an int capacity).  See README "Performance: caching".
         self.plan_cache_size = plan_cache_size
         self.fragment_cache = fragment_cache
         #: Adaptive optimization knobs (experiment E17).  Both default
@@ -184,8 +181,6 @@ class MyriadSystem:
         if self._deadlock_monitor is not None:
             self._deadlock_monitor.stop()
             self._deadlock_monitor = None
-        for processor in self._processors.values():
-            processor.close()
         self.transactions.wal.flush()
         for dbms in self.components.values():
             dbms.transactions.wal.flush()
@@ -426,9 +421,7 @@ class MyriadSystem:
         if name.lower() not in self.federations:
             raise FederationError(f"unknown federation {name!r}")
         del self.federations[name.lower()]
-        processor = self._processors.pop(name.lower(), None)
-        if processor is not None:
-            processor.close()
+        self._processors.pop(name.lower(), None)
 
     def federation_names(self) -> list[str]:
         return sorted(f.name for f in self.federations.values())
@@ -444,7 +437,6 @@ class MyriadSystem:
                 self.federation(federation_name),
                 self.network,
                 default_optimizer=self.default_optimizer,
-                parallel_fetches=self.parallel_fetches,
                 plan_cache_size=self.plan_cache_size,
                 fragment_cache=self.fragment_cache,
                 adaptive_feedback=self.adaptive_feedback,

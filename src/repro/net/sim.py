@@ -7,8 +7,9 @@ model that preserves what the experiments measure:
 - every message is *accounted*: count, payload bytes, purpose
 - each message has a *virtual cost* = latency + bytes/bandwidth
 - a :class:`MessageTrace` accumulates virtual elapsed time for one global
-  operation, with ``parallel()`` sections taking the max over branches (the
-  federation layer ships independent subqueries concurrently)
+  operation, with parallel sections taking the max over branches (the
+  federation layer charges independent subqueries as shipped concurrently;
+  the overlap exists in simulated time only)
 
 No wall-clock sleeping happens; benchmarks read virtual seconds.
 """
@@ -17,7 +18,6 @@ from __future__ import annotations
 
 import random
 import threading
-import time
 from dataclasses import dataclass
 
 from repro.errors import MessageDropped, NetworkError
@@ -59,10 +59,10 @@ class MessageRecord:
 class MessageTrace:
     """Accounting for one global operation (query or transaction).
 
-    Supports nested parallel sections: within ``parallel()``, per-branch
-    elapsed times are tracked separately and the section contributes the
-    maximum branch time to the enclosing sequence — modelling concurrent
-    subquery shipping.
+    Supports nested parallel sections: between :meth:`begin_parallel` and
+    :meth:`end_parallel`, per-branch elapsed times are tracked separately
+    and the section contributes the maximum branch time to the enclosing
+    sequence — modelling concurrent subquery shipping.
 
     Cost-attribution contract (see ``TestMessageTrace`` for the executable
     spec): costs recorded *inside an open branch* accrue to that branch;
@@ -73,14 +73,12 @@ class MessageTrace:
     :class:`~repro.errors.NetworkError` immediately rather than silently
     corrupting later measurements.
 
-    Thread safety: branches are *per thread* — the executor runs one
-    branch per worker thread inside a main-thread parallel section, so
-    the open-branch stack lives in thread-local storage while the shared
-    accounting (records, per-branch sums, elapsed time) is guarded by one
-    lock.  Per-branch sums are order-independent (each branch is fed by
-    exactly one thread, and the section contributes the *max* over
-    branches), so concurrent execution produces bit-identical elapsed
-    time to sequential execution.
+    Thread safety: the open-branch stack lives in thread-local storage and
+    the shared accounting (records, per-branch sums, elapsed time) is
+    guarded by one lock, so a trace stays consistent when threads share
+    it, as server sessions on their own threads may.  The query executor
+    opens the branches of one parallel section one after another on its
+    calling thread.
     """
 
     def __init__(self):
@@ -212,7 +210,8 @@ class RetryJitter:
 
     def __init__(self, seed: int = 0):
         self._rng = random.Random(seed)
-        # Concurrent fetch retries draw from worker threads.
+        # Shared by every query and transaction of an installation, which
+        # server sessions run on their own threads.
         self._lock = threading.Lock()
 
     def scale(self, backoff_s: float) -> float:
@@ -225,7 +224,7 @@ class _BranchContext:
 
     The per-branch ``records`` list is what per-fetch accounting reads —
     slicing the shared ``trace.records`` list by index is meaningless once
-    branches run on concurrent threads.
+    several branches record into one trace.
     """
 
     def __init__(self, trace: MessageTrace, name: str):
@@ -324,8 +323,8 @@ class FaultInjector:
 
     def __init__(self, seed: int = 0):
         self._rng = random.Random(seed)
-        # Concurrent fetches consult fault_for() from worker threads; the
-        # seeded RNG and rule countdowns must mutate atomically.
+        # Server sessions send from their own threads; the seeded RNG and
+        # rule countdowns must mutate atomically.
         self._lock = threading.Lock()
         self._rules: list[DropRule] = []
         self._crashed: set[str] = set()
@@ -477,18 +476,11 @@ class Network:
         default_link: LinkProfile | None = None,
         faults: FaultInjector | None = None,
         obs=None,
-        wall_delay_factor: float = 0.0,
     ):
         self.default_link = default_link or LinkProfile()
-        #: When > 0, each delivered message also *sleeps* for
-        #: ``cost * wall_delay_factor`` real seconds — modelling the
-        #: I/O-bound wait a federation thread spends blocked on a gateway,
-        #: so parallel fetch overlap is measurable in wall-clock time
-        #: (experiment E15).  The sleep happens outside every lock and
-        #: never touches the simulated accounting.
-        self.wall_delay_factor = wall_delay_factor
-        #: Guards cumulative counters and the simulated clock; never held
-        #: across fault evaluation, health recording, or sleeping.
+        #: Guards cumulative counters and the simulated clock against
+        #: concurrent server sessions; never held across fault evaluation
+        #: or health recording.
         self._lock = threading.Lock()
         self._sites: set[str] = set()
         self._links: dict[tuple[str, str], LinkProfile] = {}
@@ -609,8 +601,6 @@ class Network:
             self.total_messages += 1
             self.total_bytes += payload_bytes
             self.now_s += cost
-        if self.wall_delay_factor > 0:
-            time.sleep(cost * self.wall_delay_factor)
         if self.health is not None and not purpose.startswith("raft."):
             self.health.record_success(self._blame(source, destination))
         if self.obs is not None:

@@ -77,7 +77,7 @@ class Observability:
         self.slos: dict[str, SLO] = {}
         self._clock = lambda: 0.0
         self._request_ids = itertools.count(1)
-        #: ``span(name, parent=None, **tags)``: the tracer's own method,
+        #: ``span(name, **tags)``: the tracer's own method,
         #: bound here so a span costs no extra call layer.
         self.span = self.tracer.span
 

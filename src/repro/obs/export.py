@@ -386,7 +386,6 @@ def _system_config(system) -> dict:
         **{
             option: getattr(system, option)
             for option in (
-                "parallel_fetches",
                 "plan_cache_size",
                 "fragment_cache",
                 "mvcc_reads",

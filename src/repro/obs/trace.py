@@ -43,26 +43,18 @@ class Span:
         "error",
         "_tracer",
         "_start",
-        "_preset_parent",
     )
 
-    def __init__(
-        self,
-        name: str,
-        tags: dict[str, object],
-        tracer: "Tracer",
-        parent: "Span | None" = None,
-    ):
+    def __init__(self, name: str, tags: dict[str, object], tracer: "Tracer"):
         self.name = name
         self.tags = tags
-        self.parent: Span | None = parent
+        self.parent: Span | None = None
         self.children: list[Span] = []
         self.wall_s = 0.0
         self.sim_s: float | None = None
         self.error: str | None = None
         self._tracer = tracer
         self._start = 0.0
-        self._preset_parent = parent is not None
 
     # -- annotation --------------------------------------------------------
 
@@ -183,18 +175,12 @@ class Tracer:
 
     # -- span creation -----------------------------------------------------
 
-    def span(
-        self, name: str, parent: Span | None = None, **tags: object
-    ) -> Span | _NullSpan:
-        """Create a span; pass ``parent=`` to nest under a span owned by
-        another thread (e.g. a worker fetch under the main-thread stage
-        span) instead of this thread's implicit stack top.
-        """
+    def span(self, name: str, **tags: object) -> Span | _NullSpan:
+        """Create a span; on entry it nests under this thread's innermost
+        open span, or becomes a root."""
         if not self.enabled:
             return NULL_SPAN
-        if isinstance(parent, _NullSpan):
-            parent = None
-        return Span(name, tags, self, parent=parent)
+        return Span(name, tags, self)
 
     def current(self) -> Span | None:
         stack = getattr(self._local, "stack", None)
@@ -206,15 +192,11 @@ class Tracer:
         stack = getattr(self._local, "stack", None)
         if stack is None:
             stack = self._local.stack = []
-        if span._preset_parent:
-            # Explicit cross-thread parent: several worker threads may
-            # attach children to the same span concurrently.
-            with self._lock:
-                span.parent.children.append(span)
-        elif stack:
+        if stack:
+            # Only this thread opens spans under its own stack's top, so
+            # the append needs no lock.
             span.parent = stack[-1]
-            with self._lock:
-                stack[-1].children.append(span)
+            stack[-1].children.append(span)
         stack.append(span)
 
     def _pop(self, span: Span) -> None:

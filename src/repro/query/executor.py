@@ -2,9 +2,12 @@
 
 Executes a :class:`~repro.query.localizer.GlobalPlan`:
 
-1. ship fragment queries to gateways — independent fetches in parallel
-   (accounted as parallel sections on the message trace), semijoin-dependent
-   fetches after their key source,
+1. ship fragment queries to gateways, one stage at a time on the calling
+   thread: the independent fetches of a stage are sent one after another
+   in plan order but charged as concurrent (one branch each of a parallel
+   section on the message trace, so the stage costs the max over its
+   branches in simulated time), semijoin-dependent fetches after their key
+   source,
 2. type each shipped :class:`~repro.storage.fragment.Fragment` with
    federation-canonical column types, a column at a time: columns the
    gateway already canonicalised are kept as shipped, not re-validated,
@@ -16,9 +19,7 @@ Executes a :class:`~repro.query.localizer.GlobalPlan`:
 
 from __future__ import annotations
 
-import threading
 import time
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 from typing import NamedTuple
 
@@ -146,13 +147,13 @@ class GlobalResult:
 
 @dataclass
 class _FetchOutcome:
-    """What one fetch produced, collected off a worker or inline."""
+    """What one fetch produced: shipped, settled from the cache, or
+    skipped."""
 
     fetch: Fetch
-    result: Fragment | None = None
+    result: Fragment
     actual: FetchActual | None = None
     degraded: bool = False
-    error: BaseException | None = None
 
 
 class _Probe(NamedTuple):
@@ -182,19 +183,17 @@ class _Execution:
 class GlobalExecutor:
     """Runs GlobalPlans for one federation.
 
-    Independent fetches of one stage run concurrently on a bounded thread
-    pool (one worker per *site*, so a single gateway never sees two fetches
-    of the same query at once).  All simulated accounting is
-    interleaving-independent — per-branch sums feeding a max — so parallel
-    execution produces bit-identical simulated cost, bytes, and rows to
-    sequential execution (``parallel_fetches=1``).
+    Every fetch runs on the calling thread, in plan order.  The simulated
+    network still models concurrent subquery shipping: each fetch of a
+    stage is one branch of a parallel section, and the stage costs the
+    max over its branches.  Replaying a query therefore reproduces its
+    simulated cost, bytes, messages and the network clock exactly.
     """
 
     def __init__(
         self,
         federation: Federation,
         obs: Observability | None = None,
-        parallel_fetches: int = 4,
         fragment_cache: FragmentCache | None = None,
         retry_jitter: bool = False,
         jitter_seed: int = 0,
@@ -214,8 +213,6 @@ class GlobalExecutor:
         #: retries (post-failover storms) desynchronise.  Off by default —
         #: the RNG is never drawn, accounting stays bit-identical.
         self.retry_jitter = RetryJitter(jitter_seed) if retry_jitter else None
-        #: Max fetch worker threads per stage; <= 1 disables threading.
-        self.parallel_fetches = parallel_fetches
         #: Mid-query re-planning trigger: a completed fetch whose actual
         #: row count diverges from its estimate by at least this factor
         #: (either direction) re-optimizes the remaining stages — when a
@@ -227,24 +224,6 @@ class GlobalExecutor:
         #: The federation site's own catalog: empty, since the residual
         #: reads each query's fragments in place, passed by name.
         self._catalog = Catalog(f"federation:{federation.name}")
-        self._pool: ThreadPoolExecutor | None = None
-        self._pool_lock = threading.Lock()
-
-    def close(self) -> None:
-        """Shut down the fetch worker pool (idempotent)."""
-        with self._pool_lock:
-            pool, self._pool = self._pool, None
-        if pool is not None:
-            pool.shutdown(wait=True)
-
-    def _ensure_pool(self) -> ThreadPoolExecutor:
-        with self._pool_lock:
-            if self._pool is None:
-                self._pool = ThreadPoolExecutor(
-                    max_workers=max(2, self.parallel_fetches),
-                    thread_name_prefix="myriad-fetch",
-                )
-            return self._pool
 
     @property
     def gateways(self) -> dict[str, Gateway]:
@@ -326,14 +305,7 @@ class GlobalExecutor:
                 # trace outlives this call, and an unbalanced parallel
                 # section would swallow every later cost it records.
                 try:
-                    outcomes = self._run_stage(stage, run, stage_span)
-                    # Workers capture failures instead of raising (every
-                    # branch must finish before the section closes); the
-                    # earliest failed fetch in plan order wins, matching
-                    # what sequential execution would have raised.
-                    for outcome in outcomes:
-                        if outcome.error is not None:
-                            raise outcome.error
+                    outcomes = self._run_stage(stage, run)
                 finally:
                     trace.end_parallel()
                 for outcome in outcomes:
@@ -567,17 +539,18 @@ class GlobalExecutor:
         return plan
 
     def _run_stage(
-        self, stage: list[Fetch], run: _Execution, stage_span
+        self, stage: list[Fetch], run: _Execution
     ) -> list[_FetchOutcome]:
         """Run one stage; outcomes come back in plan (fetch-index) order.
 
-        Skipped sites and fragment-cache hits are settled here, on the
-        calling thread: every fetch without a semijoin probes the cache
-        exactly once, a hit is materialised in place, and only the misses
-        are shipped — on the worker pool when they span several sites —
-        each carrying its probe, so its SQL text and data version are not
-        computed again.  A semijoin fetch's text depends on this
-        execution's key values, so it probes where it ships.
+        Skipped sites and fragment-cache hits are settled first: every
+        fetch without a semijoin probes the cache exactly once, a hit is
+        materialised in place, and only the misses are shipped, in plan
+        order, each carrying its probe, so its SQL text and data version
+        are not computed again.  A semijoin fetch's text depends on this
+        execution's key values, so it probes where it ships.  The first
+        fetch that fails raises at once: no later fetch of the stage
+        sends a message.
         """
         settled: list[_FetchOutcome] = []
         misses: list[tuple[Fetch, _Probe | None]] = []
@@ -590,61 +563,10 @@ class GlobalExecutor:
                 settled.append(outcome)
             else:
                 misses.append((fetch, probe))
-        groups = self._site_groups(misses)
-        if self.parallel_fetches > 1 and len(groups) > 1:
-            shipped = self._run_stage_parallel(groups, run, stage_span)
-        else:
-            shipped = [
-                self._run_one(fetch, run, stage_span, probe=probe)
-                for fetch, probe in misses
-            ]
+        shipped = [self._run_one(fetch, run, probe) for fetch, probe in misses]
         outcomes = settled + shipped
         outcomes.sort(key=lambda outcome: outcome.fetch.index)
         return outcomes
-
-    def _site_groups(
-        self, misses: list[tuple[Fetch, _Probe | None]]
-    ) -> list[list[tuple[Fetch, _Probe | None]]]:
-        """Fetches grouped by site, preserving first-seen order.
-
-        One worker per group: a gateway never runs two fetches of the same
-        query concurrently, and within a site the sequential fetch order
-        (hence accounting order) is preserved exactly.
-        """
-        groups: dict[str, list[tuple[Fetch, _Probe | None]]] = {}
-        for miss in misses:
-            groups.setdefault(miss[0].site, []).append(miss)
-        return list(groups.values())
-
-    def _run_stage_parallel(
-        self,
-        groups: list[list[tuple[Fetch, _Probe | None]]],
-        run: _Execution,
-        stage_span,
-    ) -> list[_FetchOutcome]:
-        """Run one stage's site groups on the worker pool.
-
-        Every future is awaited (even after a failure) so no branch is
-        still recording when the caller closes the parallel section.
-        """
-        pool = self._ensure_pool()
-
-        def run_group(group) -> list[_FetchOutcome]:
-            outcomes = []
-            for fetch, probe in group:
-                outcome = self._run_one(
-                    fetch, run, stage_span, capture_errors=True, probe=probe
-                )
-                outcomes.append(outcome)
-                if outcome.error is not None:
-                    # Fatal for the whole query: stop burning messages on
-                    # this site; remaining group fetches never run (same
-                    # as sequential execution after a raise).
-                    break
-            return outcomes
-
-        futures = [pool.submit(run_group, group) for group in groups]
-        return [outcome for future in futures for outcome in future.result()]
 
     def _skip(self, fetch: Fetch, run: _Execution) -> _FetchOutcome | None:
         """A degraded outcome when ``fetch``'s site is skipped, else None."""
@@ -685,108 +607,86 @@ class GlobalExecutor:
         return outcome, probe
 
     def _run_one(
-        self,
-        fetch: Fetch,
-        run: _Execution,
-        stage_span,
-        capture_errors: bool = False,
-        probe: _Probe | None = None,
+        self, fetch: Fetch, run: _Execution, probe: _Probe | None
     ) -> _FetchOutcome:
         """One fetch end to end: skip, cache lookup, ship, cache store.
 
         ``probe`` is the fragment-cache miss :meth:`_run_stage` already
         recorded; without one (a semijoin fetch) the lookup happens here.
-        With ``capture_errors`` (worker mode) fatal exceptions come back
-        in the outcome instead of raising, so sibling branches finish and
-        the caller re-raises deterministically.
         """
-        outcome = _FetchOutcome(fetch=fetch)
-        try:
-            skipped = self._skip(fetch, run)
-            if skipped is not None:
-                return skipped
-            shipped = self._shipped_query(fetch, run.fetch_results)
-            if run.use_cache and probe is None:
-                hit, probe = self._probe(fetch, to_sql(shipped), run)
-                if hit is not None:
-                    return hit
-            gateway = self.gateways[fetch.site]
-            obs = run.obs
-            trace = run.trace
-            branch_name = f"{fetch.site}:{fetch.binding}"
-            wall_start = time.perf_counter()
-            with obs.span(
-                "execute.fetch",
-                parent=stage_span,
-                site=fetch.site,
-                export=fetch.export,
-                binding=fetch.binding,
-            ) as fetch_span:
-                try:
-                    with trace.branch(branch_name) as branch:
-                        result = self._fetch_with_retry(
-                            fetch,
-                            shipped,
-                            trace,
-                            run.timeout,
-                            run.global_id,
-                            request_id=run.request_id,
-                        )
-                except (MessageDropped, CircuitOpenError):
-                    if not run.allow_partial:
-                        raise
-                    run.missing.add(fetch.site)
-                    outcome.degraded = True
-                    outcome.result = self._degraded_fragment(fetch, obs)
-                    return outcome
-                fragment = result.fragment
-                encoded = getattr(result, "encoded", None)
-                actual = FetchActual(
-                    rows=fragment.length,
-                    bytes=branch.payload_bytes,
-                    messages=len(branch.records),
-                    sim_s=trace.branch_elapsed(branch_name),
-                    wall_s=time.perf_counter() - wall_start,
-                    raw_bytes=branch.raw_payload_bytes,
-                    codec=encoded.codec if encoded is not None else None,
-                    scanned=getattr(result, "scanned", None),
-                    strategy=getattr(result, "strategy", None),
+        skipped = self._skip(fetch, run)
+        if skipped is not None:
+            return skipped
+        shipped = self._shipped_query(fetch, run.fetch_results)
+        if run.use_cache and probe is None:
+            hit, probe = self._probe(fetch, to_sql(shipped), run)
+            if hit is not None:
+                return hit
+        gateway = self.gateways[fetch.site]
+        obs = run.obs
+        trace = run.trace
+        branch_name = f"{fetch.site}:{fetch.binding}"
+        wall_start = time.perf_counter()
+        with obs.span(
+            "execute.fetch",
+            site=fetch.site,
+            export=fetch.export,
+            binding=fetch.binding,
+        ) as fetch_span:
+            try:
+                with trace.branch(branch_name) as branch:
+                    result = self._fetch_with_retry(
+                        fetch,
+                        shipped,
+                        trace,
+                        run.timeout,
+                        run.global_id,
+                        request_id=run.request_id,
+                    )
+            except (MessageDropped, CircuitOpenError):
+                if not run.allow_partial:
+                    raise
+                run.missing.add(fetch.site)
+                return _FetchOutcome(
+                    fetch, self._degraded_fragment(fetch, obs), degraded=True
                 )
-                fetch_span.set_sim(actual.sim_s)
-                fetch_span.tag(rows=actual.rows, bytes=actual.bytes)
-            if probe is not None:
-                # Degraded fragments never reach this store (they return
-                # above); a version moved by a concurrent commit between
-                # the probe and arrival is rejected inside store().
-                stored = self.fragment_cache.store(
-                    fetch.site,
-                    fetch.export,
-                    probe.sql,
-                    probe.version,
-                    gateway.data_version(fetch.export),
-                    fragment,
-                    encoded=encoded,
-                    codec=self._codec,
+            fragment = result.fragment
+            encoded = getattr(result, "encoded", None)
+            actual = FetchActual(
+                rows=fragment.length,
+                bytes=branch.payload_bytes,
+                messages=len(branch.records),
+                sim_s=trace.branch_elapsed(branch_name),
+                wall_s=time.perf_counter() - wall_start,
+                raw_bytes=branch.raw_payload_bytes,
+                codec=encoded.codec if encoded is not None else None,
+                scanned=getattr(result, "scanned", None),
+                strategy=getattr(result, "strategy", None),
+            )
+            fetch_span.set_sim(actual.sim_s)
+            fetch_span.tag(rows=actual.rows, bytes=actual.bytes)
+        if probe is not None:
+            # Degraded fragments never reach this store (they return
+            # above); a version moved by a concurrent commit between the
+            # probe and arrival is rejected inside store().
+            stored = self.fragment_cache.store(
+                fetch.site,
+                fetch.export,
+                probe.sql,
+                probe.version,
+                gateway.data_version(fetch.export),
+                fragment,
+                encoded=encoded,
+                codec=self._codec,
+            )
+            if stored and encoded is not None:
+                obs.metrics.inc("fragcache.bytes_raw", encoded.raw_bytes)
+                obs.metrics.inc("fragcache.bytes_wire", encoded.wire_bytes)
+                obs.metrics.inc(
+                    "fragcache.bytes_saved",
+                    encoded.raw_bytes - encoded.wire_bytes,
                 )
-                if stored and encoded is not None:
-                    obs.metrics.inc(
-                        "fragcache.bytes_raw", encoded.raw_bytes
-                    )
-                    obs.metrics.inc(
-                        "fragcache.bytes_wire", encoded.wire_bytes
-                    )
-                    obs.metrics.inc(
-                        "fragcache.bytes_saved",
-                        encoded.raw_bytes - encoded.wire_bytes,
-                    )
-            outcome.result = fragment
-            outcome.actual = actual
-            return outcome
-        except BaseException as error:
-            if not capture_errors:
-                raise
-            outcome.error = error
-            return outcome
+        return _FetchOutcome(fetch, fragment, actual)
 
     def _shipped_query(
         self, fetch: Fetch, fetch_results: dict[int, Fragment]

@@ -44,7 +44,6 @@ class GlobalQueryProcessor:
         federation: Federation,
         network: Network,
         default_optimizer: str = "cost",
-        parallel_fetches: int = 4,
         plan_cache_size: int = 64,
         fragment_cache: bool | int = True,
         adaptive_feedback: bool = False,
@@ -110,7 +109,6 @@ class GlobalQueryProcessor:
             )
         self.executor = GlobalExecutor(
             federation,
-            parallel_fetches=parallel_fetches,
             fragment_cache=frag_cache,
             retry_jitter=retry_jitter,
             jitter_seed=jitter_seed,
@@ -121,10 +119,6 @@ class GlobalQueryProcessor:
     @property
     def fragment_cache(self) -> FragmentCache | None:
         return self.executor.fragment_cache
-
-    def close(self) -> None:
-        """Release executor resources (fetch worker pool)."""
-        self.executor.close()
 
     @property
     def obs(self) -> Observability:

@@ -119,9 +119,8 @@ def build_partitioned_sites(
     Alternating sites are Oracle- and Postgres-dialect, so scale-out tests
     also cross dialects.  ``observability=False`` builds the system with
     tracing/metrics off — the baseline of the E12 overhead benchmark.
-    Extra keyword arguments (``network``, ``parallel_fetches``,
-    ``fragment_cache``, ...) pass straight to :class:`MyriadSystem` — the
-    E15 parallelism/caching benchmark uses them.
+    Extra keyword arguments (``network``, ``fragment_cache``, ...) pass
+    straight to :class:`MyriadSystem`.
     """
     rng = random.Random(seed)
     system = MyriadSystem(
@@ -174,7 +173,7 @@ def build_bank_sites(
     Site ``b<i>`` holds table ``account(acct INTEGER PRIMARY KEY,
     balance FLOAT)``.  Used by the 2PC-overhead and deadlock benchmarks:
     transfers between sites become multi-site global transactions.
-    Extra keyword arguments (``mvcc_reads``, ``parallel_fetches``, ...)
+    Extra keyword arguments (``mvcc_reads``, ``fragment_cache``, ...)
     pass straight to :class:`MyriadSystem` — the E16 serving benchmark
     uses ``mvcc_reads=False`` for its 2PL-read baseline.
     """

@@ -20,6 +20,7 @@ import pytest
 
 from repro.cache import FragmentCache, LRUCache, PlanCache
 from repro.cache.fragments import CachedFragment
+from repro.gateway import LOCAL_ROW_COST_S
 from repro.storage import Fragment
 from repro.myriad import MyriadSystem
 from repro.workloads import build_bank_sites
@@ -182,26 +183,15 @@ class TestFragmentCacheInvalidation:
 class TestInlineCacheHits:
     """Hits are served on the calling thread; only misses are shipped."""
 
-    def test_fully_cached_query_submits_nothing_to_the_pool(
-        self, bank, monkeypatch
-    ):
+    def test_fully_cached_query_sends_nothing(self, bank):
         bank.query("bank", BALANCES)
-        executor = bank.processor("bank").executor
-        pool_requests = []
-        ensure_pool = executor._ensure_pool
-        monkeypatch.setattr(
-            executor,
-            "_ensure_pool",
-            lambda: pool_requests.append(1) or ensure_pool(),
-        )
+        messages = bank.network.total_messages
         cached = bank.query("bank", BALANCES)
-        assert pool_requests == []
         assert all(actual.cached for actual in cached.fetch_actuals.values())
-        # Misses on two sites still go to the pool, together.
-        _autocommit_write(bank, "b0")
-        _autocommit_write(bank, "b1")
-        bank.query("bank", BALANCES)
-        assert pool_requests == [1]
+        assert cached.trace.message_count == 0
+        assert bank.network.total_messages == messages
+        root = bank.tracer.find("query.execute")[-1]
+        assert root.find("execute.fetch") == []
 
     def test_each_fetch_probes_the_cache_once(self, bank):
         fetches = 0
@@ -246,31 +236,37 @@ class TestInlineCacheHits:
 
     @pytest.mark.parametrize("stale", [("b0",), ("b0", "b2")])
     def test_misses_match_sequential_accounting(self, stale):
-        runs = []
-        for parallel_fetches in (1, 4):
+        """Each miss costs what the same fetch costs with no cache, and the
+        stage costs its slowest miss."""
+        runs = {}
+        for fragment_cache in (True, False):
             with build_bank_sites(
-                3, 4, parallel_fetches=parallel_fetches
+                3, 4, fragment_cache=fragment_cache
             ) as system:
                 system.query("bank", BALANCES)
                 for site in stale:
                     _autocommit_write(system, site)
-                result = system.query("bank", BALANCES)
-            actuals = sorted(
-                (index, a.rows, a.bytes, a.messages, a.sim_s, a.cached)
-                for index, a in result.fetch_actuals.items()
-            )
-            runs.append(
-                (
-                    result.elapsed_s,
-                    result.bytes_shipped,
-                    result.trace.message_count,
-                    result.fetched_rows,
-                    sorted(result.rows),
-                    actuals,
-                )
-            )
-        assert runs[0] == runs[1]
-        assert sum(not actual[-1] for actual in runs[0][-1]) == len(stale)
+                runs[fragment_cache] = system.query("bank", BALANCES)
+        cached, uncached = runs[True], runs[False]
+        assert sorted(cached.rows) == sorted(uncached.rows)
+        misses = {
+            index: actual
+            for index, actual in cached.fetch_actuals.items()
+            if not actual.cached
+        }
+        assert len(misses) == len(stale)
+        for index, actual in misses.items():
+            expected = uncached.fetch_actuals[index]
+            for measure in ("rows", "bytes", "messages", "sim_s"):
+                assert getattr(actual, measure) == getattr(expected, measure)
+        residual_s = cached.residual.rows_scanned * LOCAL_ROW_COST_S
+        assert cached.elapsed_s == (
+            max(actual.sim_s for actual in misses.values()) + residual_s
+        )
+        assert cached.bytes_shipped == sum(a.bytes for a in misses.values())
+        assert cached.trace.message_count == sum(
+            a.messages for a in misses.values()
+        )
 
 
 class TestStatsVersionMovesOnCommitOnly:

@@ -357,7 +357,7 @@ class TestPushdownThroughExports:
     def test_string_literal_on_integer_key_still_matches(self):
         from repro.workloads import build_bank_sites
 
-        system = build_bank_sites(4, 50, parallel_fetches=1)
+        system = build_bank_sites(4, 50)
         by_string = system.query(
             "bank", "SELECT balance FROM accounts WHERE acct = '57'"
         )
@@ -367,7 +367,7 @@ class TestPushdownThroughExports:
     def test_federated_point_lookup_scans_one_row_at_its_owner(self):
         from repro.workloads import build_bank_sites
 
-        system = build_bank_sites(4, 50, parallel_fetches=1)
+        system = build_bank_sites(4, 50)
         result = system.query("bank", "SELECT balance FROM accounts WHERE acct = 57")
         assert result.rows == [(1000.0,)]
         scanned = {

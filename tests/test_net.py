@@ -284,3 +284,45 @@ class TestExecutorTraceBalance:
         )
         assert len(result.rows) == 10
         assert trace.balanced
+
+    def test_first_failure_stops_the_stage(self):
+        """A fetch that fails for good raises at once: the later fetches
+        of its stage send nothing, and nothing is left open."""
+        from repro.errors import MessageDropped
+        from repro.workloads import build_partitioned_sites
+
+        sql = "SELECT k, grp, val FROM measurements WHERE grp < 4"
+        with build_partitioned_sites(
+            4, 30, seed=11, fragment_cache=False
+        ) as system:
+            processor = system.processor("synth")
+            plan = processor.execute(sql).plan
+            sites = [fetch.site for fetch in plan.fetches]
+            assert len(set(sites)) == 4 and not any(
+                fetch.semijoin for fetch in plan.fetches
+            )
+            faults = system.inject_faults(seed=1)
+            faults.drop_next(
+                processor.executor.fetch_retry_limit + 1,
+                destination=sites[1],
+                purpose="query",
+            )
+            trace = MessageTrace()
+            with pytest.raises(MessageDropped) as raised:
+                processor.execute(sql, trace=trace)
+            assert raised.value.destination == sites[1]
+            assert repr(sites[1]) in str(raised.value)
+            assert {drop.destination for drop in faults.dropped} == {sites[1]}
+            touched = {
+                site
+                for record in trace.records
+                for site in (record.source, record.destination)
+            }
+            assert sites[0] in touched
+            assert touched.isdisjoint(sites[1:])
+            assert trace.balanced
+            assert all(not locks for locks in system.lock_table().values())
+            for site in sites:
+                manager = system.component(site).transactions
+                assert manager.active_transactions() == []
+                assert manager.active_snapshots() == 0

@@ -313,7 +313,6 @@ class TestDebugBundle:
         }
         assert bundle.config["default_optimizer"] == "cost"
         performance = {
-            "parallel_fetches": 4,
             "plan_cache_size": 64,
             "fragment_cache": True,
             "mvcc_reads": True,
