@@ -17,6 +17,7 @@ manager.  It is the API a downstream user starts from::
 
 from __future__ import annotations
 
+from repro.config import Config
 from repro.errors import FederationError
 from repro.gateway import Gateway
 from repro.health import HealthTracker
@@ -29,30 +30,16 @@ from repro.txn import GlobalTransaction, GlobalTransactionManager
 
 
 class MyriadSystem:
-    """One MYRIAD installation: components, gateways, federations, GTM."""
+    """One MYRIAD installation: components, gateways, federations, GTM.
 
-    def __init__(
-        self,
-        network: Network | None = None,
-        query_timeout: float | None = 5.0,
-        default_optimizer: str = "cost",
-        observability: bool = True,
-        plan_cache_size: int = 64,
-        fragment_cache: bool | int = True,
-        mvcc_reads: bool = True,
-        adaptive_feedback: bool = False,
-        adaptive_replan: bool = False,
-        replan_threshold: float = 3.0,
-        slow_query_threshold_s: float | None = 1.0,
-        trace_sample_rate: float = 1.0,
-        replication_factor: int = 1,
-        follower_reads: bool = False,
-        replication_staleness: int = 0,
-        replication_seed: int = 0,
-        retry_jitter: bool = False,
-        jitter_seed: int = 0,
-        wire_compression: bool = False,
-    ):
+    Keyword options are the fields of :class:`~repro.config.Config`; an
+    unknown option raises :class:`TypeError`, a bad value
+    :class:`ValueError`.
+    """
+
+    def __init__(self, network: Network | None = None, **options):
+        #: Every option, checked and frozen; see :class:`~repro.config.Config`.
+        self.config = Config(**options)
         self.network = network or Network()
         # One observability handle serves the whole installation; every
         # subsystem reaches it through the shared network.  A caller-built
@@ -60,9 +47,9 @@ class MyriadSystem:
         # own threshold/sampling settings).
         if self.network.obs is None:
             self.network.obs = Observability(
-                enabled=observability,
-                slow_query_threshold_s=slow_query_threshold_s,
-                trace_sample_rate=trace_sample_rate,
+                enabled=self.config.observability,
+                slow_query_threshold_s=self.config.slow_query_threshold_s,
+                trace_sample_rate=self.config.trace_sample_rate,
             )
         self.obs: Observability = self.network.obs
         # Windowed metrics and SLO burn rates run on the simulated clock.
@@ -80,61 +67,12 @@ class MyriadSystem:
         self.components: dict[str, LocalDBMS] = {}
         self.gateways: dict[str, Gateway] = {}
         self.federations: dict[str, Federation] = {}
-        self.default_optimizer = default_optimizer
-        #: Cache knobs, applied to every federation's processor:
-        #: compiled-plan LRU size (0 = off) and the fragment cache (False =
-        #: off, or an int capacity).  See README "Performance: caching".
-        self.plan_cache_size = plan_cache_size
-        self.fragment_cache = fragment_cache
-        #: Adaptive optimization knobs (experiment E17).  Both default
-        #: OFF: with them off, planning and simulated accounting are
-        #: bit-identical to the non-adaptive system.
-        #: ``adaptive_feedback`` learns per-(site, export, predicate
-        #: shape) cardinalities from EXPLAIN ANALYZE actuals and blends
-        #: them into cost estimates; ``adaptive_replan`` re-optimizes the
-        #: remaining stages mid-query when a fetch's actuals diverge from
-        #: estimates by ``replan_threshold``x or a site's breaker opens.
-        self.adaptive_feedback = adaptive_feedback
-        self.adaptive_replan = adaptive_replan
-        self.replan_threshold = replan_threshold
-        #: Default for components built via add_oracle/add_postgres: MVCC
-        #: snapshot reads (autocommit SELECTs take no table locks).  See
-        #: README "Serving & MVCC".
-        self.mvcc_reads = mvcc_reads
-        #: Wire-codec knob (experiment E20), default OFF:
-        #: ``wire_compression`` dict/RLE-encodes shipped fragments so the
-        #: cost model charges compressed bytes.  See README "Columnar
-        #: engine & wire compression".
-        self.wire_compression = wire_compression
-        #: Replication knobs (experiment E19).  With
-        #: ``replication_factor=1`` (the default) no replica-group
-        #: machinery is constructed at all — behaviour and simulated
-        #: accounting are bit-identical to the unreplicated system.  With
-        #: N > 1, every component built via add_oracle/add_postgres
-        #: becomes a Raft-style group of N replicas; ``follower_reads``
-        #: lets autocommit SELECTs be served by followers within
-        #: ``replication_staleness`` log entries of the leader's commit
-        #: index.  See README "Replication & failover".
-        self.replication_factor = replication_factor
-        self.follower_reads = follower_reads
-        self.replication_staleness = replication_staleness
-        self.replication_seed = replication_seed
         #: Per-site replica groups (only for sites built with
         #: ``replication_factor > 1``): site → ReplicaGroup.
         self.replica_groups: dict[str, object] = {}
-        #: Seeded deterministic jitter on retry backoff (fetches and 2PC
-        #: branch retries), so post-failover retry storms desynchronise.
-        #: Off by default: with the knob off the RNG is never drawn and
-        #: accounting stays bit-identical.
-        self.retry_jitter = retry_jitter
-        self.jitter_seed = jitter_seed
         self._server = None
         self.transactions = GlobalTransactionManager(
-            self.gateways,
-            query_timeout=query_timeout,
-            obs=self.obs,
-            retry_jitter=retry_jitter,
-            jitter_seed=jitter_seed,
+            self.gateways, self.config, obs=self.obs
         )
         self._processors: dict[str, GlobalQueryProcessor] = {}
         self._deadlock_monitor = None
@@ -323,7 +261,10 @@ class MyriadSystem:
         if site in self.gateways:
             raise FederationError(f"site {site!r} already registered")
         gateway = Gateway(
-            dbms, self.network, site, wire_compression=self.wire_compression
+            dbms,
+            self.network,
+            site,
+            wire_compression=self.config.wire_compression,
         )
         self.components[site] = dbms
         self.gateways[site] = gateway
@@ -346,21 +287,13 @@ class MyriadSystem:
                 dbms,
                 self.network,
                 f"{site}#{index}",
-                wire_compression=self.wire_compression,
+                wire_compression=self.config.wire_compression,
             )
             for index, dbms in enumerate(dbmses)
         ]
-        group = ReplicaGroup(
-            site,
-            inner,
-            self.network,
-            seed=self.replication_seed,
-            obs=self.obs,
-        )
+        group = ReplicaGroup(site, inner, self.network, obs=self.obs)
         gateway = ReplicatedGateway(
-            group,
-            follower_reads=self.follower_reads,
-            staleness_bound=self.replication_staleness,
+            group, follower_reads=self.config.follower_reads
         )
         self.components[site] = dbmses[0]
         self.gateways[site] = gateway
@@ -368,12 +301,12 @@ class MyriadSystem:
         return gateway
 
     def _add_dialect(self, factory, name: str, **kwargs):
-        kwargs.setdefault("mvcc_reads", self.mvcc_reads)
-        if self.replication_factor <= 1:
+        kwargs.setdefault("mvcc_reads", self.config.mvcc_reads)
+        if self.config.replication_factor == 1:
             return self.add_component(factory(name, **kwargs))
         dbmses = [
             factory(f"{name}#{index}", **kwargs)
-            for index in range(self.replication_factor)
+            for index in range(self.config.replication_factor)
         ]
         return self.add_replicated(dbmses, name)
 
@@ -434,17 +367,7 @@ class MyriadSystem:
         key = federation_name.lower()
         if key not in self._processors:
             self._processors[key] = GlobalQueryProcessor(
-                self.federation(federation_name),
-                self.network,
-                default_optimizer=self.default_optimizer,
-                plan_cache_size=self.plan_cache_size,
-                fragment_cache=self.fragment_cache,
-                adaptive_feedback=self.adaptive_feedback,
-                adaptive_replan=self.adaptive_replan,
-                replan_threshold=self.replan_threshold,
-                retry_jitter=self.retry_jitter,
-                jitter_seed=self.jitter_seed,
-                wire_compression=self.wire_compression,
+                self.federation(federation_name), self.network, self.config
             )
         return self._processors[key]
 

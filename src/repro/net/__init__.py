@@ -16,7 +16,6 @@ from repro.net.sim import (
     MessageRecord,
     MessageTrace,
     Network,
-    RetryJitter,
     estimate_rows_bytes,
     estimate_value_bytes,
 )
@@ -35,7 +34,6 @@ __all__ = [
     "MessageRecord",
     "MessageTrace",
     "Network",
-    "RetryJitter",
     "estimate_rows_bytes",
     "estimate_value_bytes",
 ]

@@ -198,27 +198,6 @@ class MessageTrace:
         )
 
 
-class RetryJitter:
-    """Seeded deterministic jitter for retry backoff.
-
-    Scales each backoff wait by a uniform factor in ``[0.5, 1.5)`` drawn
-    from a seeded RNG, so concurrent retries (and the retry storm after a
-    failover) desynchronise instead of hammering a recovering site in
-    lockstep.  The retry loops hold no reference at all when the knob is
-    off — zero RNG draws, bit-identical accounting.
-    """
-
-    def __init__(self, seed: int = 0):
-        self._rng = random.Random(seed)
-        # Shared by every query and transaction of an installation, which
-        # server sessions run on their own threads.
-        self._lock = threading.Lock()
-
-    def scale(self, backoff_s: float) -> float:
-        with self._lock:
-            return backoff_s * (0.5 + self._rng.random())
-
-
 class _BranchContext:
     """One open branch: also captures the messages recorded inside it.
 

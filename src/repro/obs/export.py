@@ -21,6 +21,7 @@ the CLI self-test all check the same contract.
 
 from __future__ import annotations
 
+import dataclasses
 import json
 import re
 from pathlib import Path
@@ -365,7 +366,13 @@ _BUNDLE_FILES = (
 
 
 def _system_config(system) -> dict:
-    """The installation's shape, for the bundle's config.json."""
+    """The installation's shape and options, for the bundle's config.json.
+
+    Every :class:`~repro.config.Config` field is a flat key.  The live
+    values replace three of them: the observability handle's threshold
+    and sampling rate (its setter, or a caller-built network, can change
+    them) and the coordinator's query timeout (a contention run sets it).
+    """
     return {
         "sites": {
             site: type(dbms).__name__
@@ -375,29 +382,12 @@ def _system_config(system) -> dict:
             federation.name: sorted(federation.relations)
             for federation in system.federations.values()
         },
-        "default_optimizer": system.default_optimizer,
+        **dataclasses.asdict(system.config),
         "query_timeout": system.transactions.query_timeout,
         "fault_injector": system.network.faults is not None,
         "slow_query_threshold_s": system.obs.slow_query_threshold_s,
         "trace_sample_rate": system.obs.tracer.sample_rate,
         "slos": sorted(system.obs.slos),
-        # The performance options, so a post-mortem knows which code
-        # paths the run could take.
-        **{
-            option: getattr(system, option)
-            for option in (
-                "plan_cache_size",
-                "fragment_cache",
-                "mvcc_reads",
-                "adaptive_feedback",
-                "adaptive_replan",
-                "replan_threshold",
-                "replication_factor",
-                "follower_reads",
-                "retry_jitter",
-                "wire_compression",
-            )
-        },
     }
 
 

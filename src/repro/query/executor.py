@@ -24,6 +24,7 @@ from dataclasses import dataclass, field
 from typing import NamedTuple
 
 from repro.cache import FragmentCache
+from repro.config import Config
 from repro.engine import ExecutionReport, LocalEngine, ResultSet
 from repro.errors import (
     CircuitOpenError,
@@ -32,7 +33,7 @@ from repro.errors import (
     MessageDropped,
 )
 from repro.gateway import LOCAL_ROW_COST_S, Gateway
-from repro.net import MessageTrace, RetryJitter
+from repro.net import MessageTrace
 from repro.obs import DISABLED, FetchActual, Observability, obs_of
 from repro.query.localizer import Fetch, GlobalPlan
 from repro.schema.federation import Federation
@@ -193,26 +194,18 @@ class GlobalExecutor:
     def __init__(
         self,
         federation: Federation,
+        config: Config,
         obs: Observability | None = None,
-        fragment_cache: FragmentCache | None = None,
-        retry_jitter: bool = False,
-        jitter_seed: int = 0,
-        wire_compression: bool = False,
     ):
         self.federation = federation
         self._obs = obs
         #: Gateways ship dict/RLE-encoded fragments; cached fragments keep
         #: the encoded payload and decode on hit.
-        self.wire_compression = bool(wire_compression)
+        self.wire_compression = config.wire_compression
         #: Transient-loss resilience: each fetch retries dropped messages
         #: up to this many times, with exponential simulated backoff.
         self.fetch_retry_limit = 2
         self.fetch_retry_backoff_s = 0.01
-        #: Seeded deterministic jitter on that backoff: each retry's wait
-        #: is scaled by a uniform factor in [0.5, 1.5) so concurrent
-        #: retries (post-failover storms) desynchronise.  Off by default —
-        #: the RNG is never drawn, accounting stays bit-identical.
-        self.retry_jitter = RetryJitter(jitter_seed) if retry_jitter else None
         #: Mid-query re-planning trigger: a completed fetch whose actual
         #: row count diverges from its estimate by at least this factor
         #: (either direction) re-optimizes the remaining stages — when a
@@ -220,7 +213,8 @@ class GlobalExecutor:
         self.replan_threshold = 3.0
         #: Optional federation-site fragment cache (shared across queries;
         #: bypassed inside global transactions).
-        self.fragment_cache = fragment_cache
+        capacity = config.fragment_cache_capacity
+        self.fragment_cache = FragmentCache(capacity) if capacity else None
         #: The federation site's own catalog: empty, since the residual
         #: reads each query's fragments in place, passed by name.
         self._catalog = Catalog(f"federation:{federation.name}")
@@ -410,8 +404,6 @@ class GlobalExecutor:
             if attempt:
                 self.obs.metrics.inc("query.fetch_retries", site=fetch.site)
                 backoff = self.fetch_retry_backoff_s * 2 ** (attempt - 1)
-                if self.retry_jitter is not None:
-                    backoff = self.retry_jitter.scale(backoff)
                 trace.add_compute(backoff)
                 network.advance(backoff)
             try:

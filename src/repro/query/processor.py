@@ -8,6 +8,7 @@ simple strategy and the full-fledged cost-based one.
 from __future__ import annotations
 
 from repro.cache import FragmentCache, PlanCache
+from repro.config import Config
 from repro.errors import FederationError
 from repro.net import MessageTrace, Network
 from repro.obs import MetricsRegistry, Observability, obs_of
@@ -21,6 +22,10 @@ from repro.query.localizer import GlobalPlan
 from repro.query.optimizer import CostBasedOptimizer, SimpleOptimizer
 from repro.schema.federation import Federation
 from repro.sql import ast, parse_statement
+
+
+#: The optimizer a query runs under when the caller names none.
+DEFAULT_OPTIMIZER = "cost"
 
 
 def plan_digest(plan: GlobalPlan) -> str:
@@ -40,33 +45,21 @@ class GlobalQueryProcessor:
     """Query-processing front door of one federation."""
 
     def __init__(
-        self,
-        federation: Federation,
-        network: Network,
-        default_optimizer: str = "cost",
-        plan_cache_size: int = 64,
-        fragment_cache: bool | int = True,
-        adaptive_feedback: bool = False,
-        adaptive_replan: bool = False,
-        replan_threshold: float = 3.0,
-        retry_jitter: bool = False,
-        jitter_seed: int = 0,
-        wire_compression: bool = False,
+        self, federation: Federation, network: Network, config: Config
     ):
         self.federation = federation
         self.network = network
         #: Learned per-(site, export, predicate-shape) cardinalities, fed
-        #: by EXPLAIN ANALYZE actuals after every execution.  ``None``
-        #: (the default) keeps planning bit-identical to the non-adaptive
-        #: system.
+        #: by EXPLAIN ANALYZE actuals after every execution; ``None`` with
+        #: ``adaptive_feedback`` off.
         self.runtime_stats = (
-            RuntimeStatsStore() if adaptive_feedback else None
+            RuntimeStatsStore() if config.adaptive_feedback else None
         )
         #: Re-optimize remaining stages mid-query when actuals diverge.
         #: Requires a cost-based optimizer for the query; independent of
         #: ``adaptive_feedback`` (re-planning uses exact measured key
         #: counts, not the learned store).
-        self.adaptive_replan = adaptive_replan
+        self.adaptive_replan = config.adaptive_replan
         self.optimizers = {
             "simple": SimpleOptimizer(federation.gateways),
             "cost": CostBasedOptimizer(
@@ -87,34 +80,19 @@ class GlobalQueryProcessor:
                 runtime_stats=self.runtime_stats,
             ),
         }
-        if default_optimizer not in self.optimizers:
-            raise FederationError(f"unknown optimizer {default_optimizer!r}")
         #: ``plancache.hit`` series per optimizer, keyed once: a plan-cache
         #: hit is the per-request hot path.
         self._plan_hit_keys = {
             name: MetricsRegistry.key("plancache.hit", optimizer=chosen.name)
             for name, chosen in self.optimizers.items()
         }
-        self.default_optimizer = default_optimizer
         #: Compiled-plan LRU; 0 disables it.
         self.plan_cache = (
-            PlanCache(plan_cache_size) if plan_cache_size > 0 else None
+            PlanCache(config.plan_cache_size)
+            if config.plan_cache_size
+            else None
         )
-        frag_cache = None
-        if fragment_cache:
-            frag_cache = FragmentCache(
-                fragment_cache if isinstance(fragment_cache, int)
-                and not isinstance(fragment_cache, bool)
-                else 128
-            )
-        self.executor = GlobalExecutor(
-            federation,
-            fragment_cache=frag_cache,
-            retry_jitter=retry_jitter,
-            jitter_seed=jitter_seed,
-            wire_compression=wire_compression,
-        )
-        self.executor.replan_threshold = replan_threshold
+        self.executor = GlobalExecutor(federation, config)
 
     @property
     def fragment_cache(self) -> FragmentCache | None:
@@ -168,8 +146,14 @@ class GlobalQueryProcessor:
 
     def plan(self, sql: str | ast.Query, optimizer: str | None = None) -> GlobalPlan:
         obs = self.obs
-        optimizer_key = optimizer or self.default_optimizer
-        chosen = self.optimizers[optimizer_key]
+        optimizer_key = optimizer or DEFAULT_OPTIMIZER
+        try:
+            chosen = self.optimizers[optimizer_key]
+        except KeyError:
+            raise FederationError(
+                f"unknown optimizer {optimizer_key!r}; known: "
+                + ", ".join(sorted(self.optimizers))
+            ) from None
         cache_key = None
         if self.plan_cache is not None and isinstance(sql, str):
             # Key on the registry name, not ``chosen.name``: the cost
@@ -223,9 +207,9 @@ class GlobalQueryProcessor:
             federation=self.federation.name,
             request=request_id,
         ) as span:
-            optimizer_key = optimizer or self.default_optimizer
-            chosen = self.optimizers[optimizer_key]
+            # ``plan`` rejects an unknown optimizer name.
             plan = self.plan(sql, optimizer)
+            chosen = self.optimizers[optimizer or DEFAULT_OPTIMIZER]
             replanner = (
                 chosen
                 if self.adaptive_replan and hasattr(chosen, "replan")

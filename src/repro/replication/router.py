@@ -21,7 +21,7 @@ Gateway` surface for one logical site while fanning the work over a
 - autocommit snapshot SELECTs may be served by followers
   (``follower_reads=True``) under a bounded-staleness guard: a follower
   answers only while ``leader commit index − follower applied index``
-  is within ``staleness_bound`` entries (surfaced as the
+  is within :data:`STALENESS_BOUND` entries (surfaced as the
   ``raft.staleness`` gauge); others fall back to the leader
 
 With ``replication_factor=1`` :class:`~repro.myriad.MyriadSystem` never
@@ -42,6 +42,9 @@ from repro.sql import ast, to_sql
 #: Failover retries per routed operation (beyond the first attempt).
 FAILOVER_RETRY_LIMIT = 2
 FAILOVER_RETRY_BACKOFF_S = 0.02
+#: Follower reads accept a replica at most this many log entries behind
+#: the leader's commit index: 0 serves only fully caught-up followers.
+STALENESS_BOUND = 0
 
 
 class ReplicaRouter:
@@ -188,20 +191,14 @@ class ReplicatedGateway:
     monitor, and introspection talk to it unchanged.
     """
 
-    def __init__(
-        self,
-        group: ReplicaGroup,
-        follower_reads: bool = False,
-        staleness_bound: int = 0,
-    ):
+    def __init__(self, group: ReplicaGroup, follower_reads: bool = False):
         self.group = group
         self.site = group.site
         self.network = group.network
         self.router = ReplicaRouter(group)
-        #: Serve autocommit snapshot SELECTs from followers when within
-        #: ``staleness_bound`` entries of the leader's commit index.
+        #: Serve autocommit snapshot SELECTs from followers within
+        #: :data:`STALENESS_BOUND` entries of the leader's commit index.
         self.follower_reads = follower_reads
-        self.staleness_bound = staleness_bound
         # The logical site participates in accounting-level lookups
         # (set_link, health snapshots) even though traffic flows to the
         # replica sites.
@@ -316,7 +313,7 @@ class ReplicatedGateway:
             and self.follower_reads
             and len(group.replicas) > 1
         ):
-            follower = self.router.pick_follower(self.staleness_bound)
+            follower = self.router.pick_follower(STALENESS_BOUND)
             if follower is not None:
                 try:
                     result = follower.gateway.execute_query(

@@ -20,6 +20,7 @@ import itertools
 import threading
 
 from repro.concurrency.wal import LogRecordType, WriteAheadLog
+from repro.config import Config
 from repro.engine import ResultSet
 from repro.errors import (
     GatewayTimeout,
@@ -31,7 +32,7 @@ from repro.errors import (
     TwoPhaseCommitError,
 )
 from repro.gateway import Gateway
-from repro.net import MessageTrace, RetryJitter
+from repro.net import MessageTrace
 from repro.obs import DISABLED, Observability
 from repro.sql import ast
 
@@ -87,18 +88,16 @@ class GlobalTransactionManager:
     def __init__(
         self,
         gateways: dict[str, Gateway],
-        query_timeout: float | None = 5.0,
+        config: Config,
         wal: WriteAheadLog | None = None,
         decision_retry_limit: int = 3,
         decision_retry_backoff_s: float = 0.05,
         obs: Observability | None = None,
-        retry_jitter: bool = False,
-        jitter_seed: int = 0,
     ):
         self.gateways = gateways
         self.obs = obs or DISABLED
         #: The paper's timeout period attached to every local query.
-        self.query_timeout = query_timeout
+        self.query_timeout = config.query_timeout
         self.wal = wal or WriteAheadLog()
         #: Phase-2 decision delivery: retries per participant beyond the
         #: first attempt, with exponential virtual backoff between attempts.
@@ -108,10 +107,6 @@ class GlobalTransactionManager:
         #: message loss only), with the same exponential backoff shape.
         self.branch_retry_limit = 2
         self.branch_retry_backoff_s = 0.02
-        #: Seeded deterministic jitter on branch-retry backoff (see
-        #: :class:`repro.net.RetryJitter`); off by default — no RNG draws,
-        #: bit-identical accounting.
-        self.retry_jitter = RetryJitter(jitter_seed) if retry_jitter else None
         #: Chaos hook: called with a crash-point label at every enumerated
         #: 2PC/WAL protocol step (``before_coord_commit``,
         #: ``before_deliver:<site>``, ...).  The chaos explorer raises
@@ -258,8 +253,6 @@ class GlobalTransactionManager:
             if attempt:
                 self.obs.metrics.inc("txn.branch_retries")
                 backoff = self.branch_retry_backoff_s * 2 ** (attempt - 1)
-                if self.retry_jitter is not None:
-                    backoff = self.retry_jitter.scale(backoff)
                 txn.trace.add_compute(backoff)
                 if network is not None:
                     network.advance(backoff)

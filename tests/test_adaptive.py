@@ -354,8 +354,8 @@ class TestMidQueryReplan:
 class TestKnobsOff:
     def test_defaults_are_off(self):
         system = MyriadSystem()
-        assert system.adaptive_feedback is False
-        assert system.adaptive_replan is False
+        assert system.config.adaptive_feedback is False
+        assert system.config.adaptive_replan is False
         gateway = system.add_postgres("s")
         gateway.dbms.execute("CREATE TABLE t (id INTEGER PRIMARY KEY)")
         gateway.export_table("t", "t")
@@ -387,12 +387,11 @@ class TestKnobsOff:
         assert runs[0] == runs[1]
 
     def test_replan_threshold_knob_propagates(self):
-        with build_skewed_join(
-            adaptive_replan=True, replan_threshold=10_000.0
-        ) as system:
+        with build_skewed_join(adaptive_replan=True) as system:
+            executor = system.processor("fed").executor
+            assert executor.replan_threshold == 3.0
             # threshold too high to ever trigger: stale plan runs as-is
+            executor.replan_threshold = 10_000.0
             result = system.query("fed", JOIN)
-            assert (
-                system.processor("fed").executor.replan_threshold == 10_000.0
-            )
+            assert executor.replan_threshold == 10_000.0
         assert "replan@" not in "\n".join(result.plan.notes)

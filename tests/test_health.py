@@ -392,67 +392,3 @@ class TestTransientRetry:
         assert float(result.scalar()) == 12000.0
         assert bank.obs.metrics.counter("txn.branch_retries") >= 1
         txn.commit()
-
-
-class TestRetryJitter:
-    def test_scale_is_seed_deterministic_and_bounded(self):
-        from repro.net import RetryJitter
-
-        draws_a = [RetryJitter(9).scale(0.01) for _ in [0]]
-        jitter = RetryJitter(9)
-        scaled = [jitter.scale(0.01) for _ in range(50)]
-        assert scaled[0] == draws_a[0]
-        assert all(0.005 <= value < 0.015 for value in scaled)
-        again = RetryJitter(9)
-        assert [again.scale(0.01) for _ in range(50)] == scaled
-
-    def _retry_elapsed(self, **kwargs):
-        system = build_bank_sites(3, 4, query_timeout=1.0, **kwargs)
-        system.inject_faults(seed=7)
-        system.network.faults.drop_next(1, purpose="query")
-        before = system.network.now_s
-        system.query("bank", "SELECT SUM(balance) FROM accounts")
-        elapsed = system.network.now_s - before
-        system.close()
-        return elapsed
-
-    def test_off_by_default_and_bit_identical(self):
-        assert self._retry_elapsed() == self._retry_elapsed(
-            retry_jitter=False
-        )
-
-    def test_jitter_perturbs_the_fetch_retry_backoff(self):
-        plain = self._retry_elapsed()
-        jittered = self._retry_elapsed(retry_jitter=True, jitter_seed=3)
-        assert jittered != plain
-        # the jittered wait stays within the [0.5, 1.5) scaling envelope
-        base = self._retry_elapsed() - 0.01  # transfer time sans backoff
-        wait = jittered - base
-        assert 0.005 <= wait < 0.015
-
-    def test_jitter_is_seed_deterministic(self):
-        first = self._retry_elapsed(retry_jitter=True, jitter_seed=3)
-        second = self._retry_elapsed(retry_jitter=True, jitter_seed=3)
-        assert first == second
-
-    def test_branch_retry_backoff_is_jittered_too(self):
-        def branch_elapsed(**kwargs):
-            system = build_bank_sites(3, 4, query_timeout=1.0, **kwargs)
-            system.inject_faults(seed=7)
-            system.network.faults.drop_next(1, purpose="begin")
-            before = system.network.now_s
-            txn = system.begin_transaction()
-            system.transactional_query(
-                txn, "bank", "SELECT SUM(balance) FROM accounts"
-            )
-            txn.commit()
-            elapsed = system.network.now_s - before
-            system.close()
-            return elapsed
-
-        assert branch_elapsed(retry_jitter=True, jitter_seed=5) != (
-            branch_elapsed()
-        )
-        assert branch_elapsed(retry_jitter=True, jitter_seed=5) == (
-            branch_elapsed(retry_jitter=True, jitter_seed=5)
-        )

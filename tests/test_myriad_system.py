@@ -1,5 +1,7 @@
 """Tests for the MyriadSystem facade and remaining workload generators."""
 
+import dataclasses
+
 import pytest
 
 from repro.errors import FederationError
@@ -59,20 +61,67 @@ class TestFacade:
         assert system.processor("f") is system.processor("f")
 
     def test_default_optimizer_setting(self):
-        system = MyriadSystem(default_optimizer="simple")
+        system = MyriadSystem()
         gateway = system.add_postgres("s")
         gateway.dbms.execute("CREATE TABLE t (a INTEGER)")
         gateway.export_table("t", "t")
         fed = system.create_federation("f")
         fed.define_relation("r", "SELECT a FROM s.t")
-        plan = system.processor("f").plan("SELECT a FROM r")
+        processor = system.processor("f")
+        assert processor.plan("SELECT a FROM r").strategy == "cost"
+        plan = processor.plan("SELECT a FROM r", optimizer="simple")
         assert plan.strategy == "simple"
+        result = system.query("f", "SELECT a FROM r", optimizer="simple")
+        assert result.plan.strategy == "simple"
 
-    def test_bad_default_optimizer(self):
-        system = MyriadSystem(default_optimizer="nonsense")
+    def test_unknown_optimizer_raises_federation_error(self):
+        system = MyriadSystem()
+        gateway = system.add_postgres("s")
+        gateway.dbms.execute("CREATE TABLE t (a INTEGER)")
+        gateway.export_table("t", "t")
+        system.create_federation("f").define_relation(
+            "r", "SELECT a FROM s.t"
+        )
+        for call in (
+            lambda: system.query("f", "SELECT a FROM r", optimizer="nonsense"),
+            lambda: system.explain("f", "SELECT a FROM r", "nonsense"),
+        ):
+            with pytest.raises(FederationError, match="'nonsense'.*simple"):
+                call()
+
+
+class TestConfig:
+    def test_unknown_option_is_a_type_error(self):
+        for removed in ("retry_jitter", "default_optimizer", "nonsense"):
+            with pytest.raises(TypeError, match=removed):
+                MyriadSystem(**{removed: 1})
+
+    @pytest.mark.parametrize(
+        "option, value",
+        [
+            ("replication_factor", 0),
+            ("replication_factor", -3),
+            ("fragment_cache", -1),
+            ("fragment_cache", 1.5),
+            ("plan_cache_size", -1),
+            ("trace_sample_rate", 2.0),
+        ],
+    )
+    def test_bad_value_is_rejected_at_construction(self, option, value):
+        with pytest.raises(ValueError, match=option):
+            MyriadSystem(**{option: value})
+
+    def test_config_is_frozen_and_reaches_every_layer(self):
+        system = MyriadSystem(
+            query_timeout=2.0, fragment_cache=7, wire_compression=True
+        )
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            system.config.fragment_cache = False
         system.create_federation("f")
-        with pytest.raises(FederationError):
-            system.processor("f")
+        executor = system.processor("f").executor
+        assert executor.fragment_cache.stats["capacity"] == 7
+        assert executor.wire_compression is True
+        assert system.transactions.query_timeout == 2.0
 
 
 class TestWorkloadGenerators:

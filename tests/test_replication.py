@@ -165,8 +165,8 @@ class TestFailover:
         system.close()
 
     def test_election_is_seed_deterministic(self):
-        def winner(seed):
-            system = build_replicated(3, replication_seed=seed)
+        def winner():
+            system = build_replicated(3)
             system.network.faults.crash_site("b0#0")
             write(system, "b0", "UPDATE account SET balance = balance + 1 WHERE acct = 0")
             group = system.replica_groups["b0"]
@@ -174,7 +174,7 @@ class TestFailover:
             system.close()
             return out
 
-        assert winner(4) == winner(4)
+        assert winner() == winner()
 
     def test_healed_ex_leader_converges_via_catch_up(self):
         system = build_replicated(3)
@@ -385,9 +385,7 @@ class TestFollowerReads:
         system.close()
 
     def test_reads_fall_back_to_the_leader_when_all_followers_lag(self):
-        system = build_replicated(
-            3, follower_reads=True, replication_staleness=0
-        )
+        system = build_replicated(3, follower_reads=True)
         group = system.replica_groups["b0"]
         router = system.gateways["b0"].router
         for replica in group.replicas:

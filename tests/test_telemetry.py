@@ -9,12 +9,14 @@ scenario: a faulty E11-style run whose bundle carries every 2PC state
 transition and deadlock victim decision and reloads byte-for-byte.
 """
 
+import dataclasses
 import json
 import threading
 import time
 
 import pytest
 
+from repro.config import Config
 from repro.errors import MyriadError, TwoPhaseCommitError
 from repro.obs import Event, EventLog, Observability, load_events_jsonl
 from repro.obs.export import (
@@ -311,20 +313,13 @@ class TestDebugBundle:
             "s1": "PostgresDBMS",
             "s2": "OracleDBMS",
         }
-        assert bundle.config["default_optimizer"] == "cost"
-        performance = {
-            "plan_cache_size": 64,
-            "fragment_cache": True,
-            "mvcc_reads": True,
-            "adaptive_feedback": False,
-            "adaptive_replan": False,
-            "replan_threshold": 3.0,
-            "replication_factor": 1,
-            "follower_reads": False,
-            "retry_jitter": False,
-            "wire_compression": False,
+        options = {
+            field.name: getattr(system.config, field.name)
+            for field in dataclasses.fields(Config)
         }
-        assert {k: bundle.config[k] for k in performance} == performance
+        # The bundle records the live threshold, which the test moved.
+        options["slow_query_threshold_s"] = 0.0
+        assert {name: bundle.config[name] for name in options} == options
         assert "federation_stats" in bundle.introspection
         for clock in ("wall", "sim"):
             assert validate_chrome_trace(bundle.trace(clock)) == []
