@@ -44,6 +44,13 @@ DRIFT_THRESHOLD = 0.2
 # ---------------------------------------------------------------------------
 
 
+def _anonymise(node: ast.Expression) -> ast.Expression:
+    """Replace a literal by a parameter so shapes ignore literal values."""
+    if isinstance(node, ast.Literal):
+        return ast.Parameter(0)
+    return node
+
+
 def predicate_shape(predicate: ast.Expression | None) -> str:
     """Canonical shape of a predicate with literal values abstracted.
 
@@ -56,12 +63,7 @@ def predicate_shape(predicate: ast.Expression | None) -> str:
         return "-"
     from repro.sql.printer import SQLPrinter
 
-    def anonymise(node: ast.Expression) -> ast.Expression:
-        if isinstance(node, ast.Literal):
-            return ast.Parameter(0)
-        return node
-
-    shaped = ast.transform_expression(predicate, anonymise)
+    shaped = ast.transform_expression(predicate, _anonymise)
     return SQLPrinter().print_expression(shaped)
 
 
@@ -69,26 +71,21 @@ def query_shape(query: ast.Select) -> str:
     """Shape of a whole shipped block (aggregate pushdown fetches)."""
     from repro.sql.printer import SQLPrinter
 
-    def anonymise(node: ast.Expression) -> ast.Expression:
-        if isinstance(node, ast.Literal):
-            return ast.Parameter(0)
-        return node
-
     shaped = ast.Select(
         items=[
             ast.SelectItem(
-                ast.transform_expression(i.expression, anonymise), i.alias
+                ast.transform_expression(i.expression, _anonymise), i.alias
             )
             for i in query.items
         ],
         from_clause=list(query.from_clause),
-        where=ast.transform_expression(query.where, anonymise)
+        where=ast.transform_expression(query.where, _anonymise)
         if query.where is not None
         else None,
         group_by=[
-            ast.transform_expression(g, anonymise) for g in query.group_by
+            ast.transform_expression(g, _anonymise) for g in query.group_by
         ],
-        having=ast.transform_expression(query.having, anonymise)
+        having=ast.transform_expression(query.having, _anonymise)
         if query.having is not None
         else None,
         order_by=list(query.order_by),

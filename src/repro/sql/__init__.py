@@ -21,7 +21,7 @@ from repro.sql.dialect import (
     Dialect,
     get_dialect,
 )
-from repro.sql.lexer import Lexer, tokenize
+from repro.sql.lexer import tokenize
 from repro.sql.parser import (
     Parser,
     parse_expression,
@@ -39,7 +39,6 @@ __all__ = [
     "POSTGRES_DIALECT",
     "Dialect",
     "get_dialect",
-    "Lexer",
     "tokenize",
     "Parser",
     "parse_expression",

@@ -1,207 +1,96 @@
-"""Hand-written SQL lexer.
+"""SQL lexer: one compiled master pattern, matched token after token.
 
-Turns SQL text into a list of :class:`~repro.sql.tokens.Token`.  Supports:
+Turns SQL text into a list of :class:`~repro.sql.tokens.Token` (the "Writing
+a Tokenizer" recipe of Python's ``re`` documentation).  ``_PATTERN`` is one
+alternation with a named group per kind of token; alternatives are tried in
+order, so comments come before the ``-`` and ``/`` operators, a ``.5``
+float before the ``.`` punctuation, and a closed string before the
+unterminated-quote alternative.  It accepts:
 
 - keywords (case-insensitive) and identifiers (``[A-Za-z_][A-Za-z0-9_$#]*``)
-- double-quoted delimited identifiers (``"Weird Name"``)
+- double-quoted delimited identifiers (``"Weird Name"``) with ``""`` escaping
 - single-quoted string literals with ``''`` escaping
-- integer and float literals (including ``1e-3`` exponents)
+- integer and float literals (``1.``, ``.5``, ``1e-3``; ``1.e5`` is ``1``,
+  ``.``, ``e5`` and a bare ``1e`` is ``1``, ``e``)
 - line comments (``-- ...``) and block comments (``/* ... */``)
 - multi-character operators (``<>``, ``!=``, ``>=``, ``<=``, ``||``)
 - ``?`` positional parameters
+
+A quote body is written unrolled, ``'[^']*(?:''[^']*)*'(?!')``, so that it
+cannot backtrack to a quote that is half of an escaped pair: ``'a''b`` is
+unterminated, not ``'a'`` followed by more text.  Line and column come from
+the newlines in each consumed span.  The pattern keeps to syntax Python 3.10
+accepts (no atomic groups or possessive quantifiers) and spells classes as
+``[A-Za-z_]`` and ``[0-9]``, not ``\\w`` and ``\\d``, because non-ASCII
+letters and digits are not SQL identifier or number characters here.
 """
 
 from __future__ import annotations
 
+import re
+
 from repro.errors import LexerError
-from repro.sql.tokens import (
-    KEYWORDS,
-    MULTI_CHAR_OPERATORS,
-    PUNCTUATION,
-    SINGLE_CHAR_OPERATORS,
-    Token,
-    TokenType,
+from repro.sql.tokens import KEYWORDS, Token, TokenType
+
+_PATTERN = re.compile(
+    r"""
+      (?P<SKIP>(?:[ \t\r\n]+ | --[^\n]* | /\*[\s\S]*?\*/)+)
+    | (?P<WORD>[A-Za-z_][A-Za-z0-9_$#]*)
+    | (?P<FLOAT>(?:[0-9]+\.(?:[0-9]+|(?![A-Za-z_])) | \.[0-9]+)(?:[eE][+-]?[0-9]+)?
+               | [0-9]+[eE][+-]?[0-9]+)
+    | (?P<INTEGER>[0-9]+)
+    | '(?P<STRING>[^']*(?:''[^']*)*)'(?!')
+    | "(?P<QUOTED_IDENTIFIER>[^"]*(?:""[^"]*)*)"(?!")
+    | (?P<UNTERMINATED>' | " | /\*)
+    | (?P<OPERATOR><> | != | >= | <= | \|\| | [-+*/%<>=])
+    | (?P<PUNCTUATION>[(),.;])
+    | (?P<PARAMETER>\?)
+    | (?P<UNEXPECTED>.)
+    """,
+    re.VERBOSE,
 )
 
-_IDENT_START = frozenset(
-    "abcdefghijklmnopqrstuvwxyzABCDEFGHIJKLMNOPQRSTUVWXYZ_"
-)
-_IDENT_CONT = _IDENT_START | frozenset("0123456789$#")
-_DIGITS = frozenset("0123456789")
-
-
-class Lexer:
-    """Single-pass scanner over SQL source text."""
-
-    def __init__(self, text: str):
-        self.text = text
-        self.pos = 0
-        self.line = 1
-        self.column = 1
-
-    # -- helpers ----------------------------------------------------------
-
-    def _peek(self, offset: int = 0) -> str:
-        index = self.pos + offset
-        if index >= len(self.text):
-            return ""
-        return self.text[index]
-
-    def _advance(self, count: int = 1) -> None:
-        for _ in range(count):
-            if self.pos < len(self.text):
-                if self.text[self.pos] == "\n":
-                    self.line += 1
-                    self.column = 1
-                else:
-                    self.column += 1
-                self.pos += 1
-
-    def _error(self, message: str) -> LexerError:
-        return LexerError(message, self.pos, self.line, self.column)
-
-    # -- scanning ---------------------------------------------------------
-
-    def tokenize(self) -> list[Token]:
-        """Scan the whole input and return tokens, ending with an EOF token."""
-        tokens: list[Token] = []
-        while True:
-            self._skip_whitespace_and_comments()
-            if self.pos >= len(self.text):
-                tokens.append(Token(TokenType.EOF, "", self.line, self.column))
-                return tokens
-            tokens.append(self._next_token())
-
-    def _skip_whitespace_and_comments(self) -> None:
-        while self.pos < len(self.text):
-            ch = self._peek()
-            if ch in " \t\r\n":
-                self._advance()
-            elif ch == "-" and self._peek(1) == "-":
-                while self.pos < len(self.text) and self._peek() != "\n":
-                    self._advance()
-            elif ch == "/" and self._peek(1) == "*":
-                start_line, start_col = self.line, self.column
-                self._advance(2)
-                while self.pos < len(self.text):
-                    if self._peek() == "*" and self._peek(1) == "/":
-                        self._advance(2)
-                        break
-                    self._advance()
-                else:
-                    raise LexerError(
-                        "unterminated block comment", self.pos, start_line, start_col
-                    )
-            else:
-                return
-
-    def _next_token(self) -> Token:
-        ch = self._peek()
-        line, column = self.line, self.column
-
-        if ch in _IDENT_START:
-            return self._lex_word(line, column)
-        if ch in _DIGITS or (ch == "." and self._peek(1) in _DIGITS):
-            return self._lex_number(line, column)
-        if ch == "'":
-            return self._lex_string(line, column)
-        if ch == '"':
-            return self._lex_quoted_identifier(line, column)
-        if ch == "?":
-            self._advance()
-            return Token(TokenType.PARAMETER, "?", line, column)
-
-        for op in MULTI_CHAR_OPERATORS:
-            if self.text.startswith(op, self.pos):
-                self._advance(len(op))
-                return Token(TokenType.OPERATOR, op, line, column)
-        if ch in SINGLE_CHAR_OPERATORS:
-            self._advance()
-            return Token(TokenType.OPERATOR, ch, line, column)
-        if ch in PUNCTUATION:
-            self._advance()
-            return Token(TokenType.PUNCTUATION, ch, line, column)
-
-        raise self._error(f"unexpected character {ch!r}")
-
-    def _lex_word(self, line: int, column: int) -> Token:
-        start = self.pos
-        while self.pos < len(self.text) and self._peek() in _IDENT_CONT:
-            self._advance()
-        word = self.text[start : self.pos]
-        upper = word.upper()
-        if upper in KEYWORDS:
-            return Token(TokenType.KEYWORD, upper, line, column)
-        return Token(TokenType.IDENTIFIER, word, line, column)
-
-    def _lex_number(self, line: int, column: int) -> Token:
-        start = self.pos
-        is_float = False
-        while self._peek() in _DIGITS:
-            self._advance()
-        if self._peek() == "." and self._peek(1) in _DIGITS:
-            is_float = True
-            self._advance()
-            while self._peek() in _DIGITS:
-                self._advance()
-        elif self._peek() == "." and self._peek(1) not in _IDENT_START:
-            # trailing dot as in "1." — treat as float
-            is_float = True
-            self._advance()
-        if self._peek() in ("e", "E"):
-            lookahead = 1
-            if self._peek(1) in ("+", "-"):
-                lookahead = 2
-            if self._peek(lookahead) in _DIGITS:
-                is_float = True
-                self._advance(lookahead)
-                while self._peek() in _DIGITS:
-                    self._advance()
-        text = self.text[start : self.pos]
-        token_type = TokenType.FLOAT if is_float else TokenType.INTEGER
-        return Token(token_type, text, line, column)
-
-    def _lex_string(self, line: int, column: int) -> Token:
-        self._advance()  # opening quote
-        parts: list[str] = []
-        while True:
-            if self.pos >= len(self.text):
-                raise LexerError("unterminated string literal", self.pos, line, column)
-            ch = self._peek()
-            if ch == "'":
-                if self._peek(1) == "'":  # escaped quote
-                    parts.append("'")
-                    self._advance(2)
-                else:
-                    self._advance()
-                    return Token(TokenType.STRING, "".join(parts), line, column)
-            else:
-                parts.append(ch)
-                self._advance()
-
-    def _lex_quoted_identifier(self, line: int, column: int) -> Token:
-        self._advance()  # opening quote
-        parts: list[str] = []
-        while True:
-            if self.pos >= len(self.text):
-                raise LexerError(
-                    "unterminated quoted identifier", self.pos, line, column
-                )
-            ch = self._peek()
-            if ch == '"':
-                if self._peek(1) == '"':
-                    parts.append('"')
-                    self._advance(2)
-                else:
-                    self._advance()
-                    return Token(
-                        TokenType.QUOTED_IDENTIFIER, "".join(parts), line, column
-                    )
-            else:
-                parts.append(ch)
-                self._advance()
+_TYPES = {
+    kind: TokenType[kind]
+    for kind in (
+        "FLOAT", "INTEGER", "STRING", "QUOTED_IDENTIFIER", "OPERATOR",
+        "PUNCTUATION", "PARAMETER",
+    )
+}
+_ESCAPED_QUOTE = {"STRING": ("''", "'"), "QUOTED_IDENTIFIER": ('""', '"')}
+_UNTERMINATED = {
+    "'": "unterminated string literal",
+    '"': "unterminated quoted identifier",
+    "/*": "unterminated block comment",
+}
 
 
 def tokenize(text: str) -> list[Token]:
-    """Convenience wrapper: tokenize ``text`` and return the token list."""
-    return Lexer(text).tokenize()
+    """Scan the whole input and return tokens, ending with an EOF token."""
+    tokens: list[Token] = []
+    line, line_start = 1, 0
+    for match in _PATTERN.finditer(text):
+        kind = match.lastgroup
+        value = match[kind]
+        start, end = match.span()
+        column = start - line_start + 1
+        if kind == "WORD":
+            upper = value.upper()
+            if upper in KEYWORDS:
+                tokens.append(Token(TokenType.KEYWORD, upper, line, column))
+            else:
+                tokens.append(Token(TokenType.IDENTIFIER, value, line, column))
+        elif kind in _TYPES:
+            if kind in _ESCAPED_QUOTE:
+                value = value.replace(*_ESCAPED_QUOTE[kind])
+            tokens.append(Token(_TYPES[kind], value, line, column))
+        elif kind == "UNTERMINATED":
+            raise LexerError(_UNTERMINATED[value], len(text), line, column)
+        elif kind == "UNEXPECTED":
+            raise LexerError(f"unexpected character {value!r}", start, line, column)
+        last_newline = text.rfind("\n", start, end)
+        if last_newline >= 0:
+            line += text.count("\n", start, end)
+            line_start = last_newline + 1
+    tokens.append(Token(TokenType.EOF, "", line, len(text) - line_start + 1))
+    return tokens

@@ -3,11 +3,11 @@
 from __future__ import annotations
 
 import enum
-from dataclasses import dataclass
+from typing import NamedTuple
 
 
 class TokenType(enum.Enum):
-    """Kinds of lexical tokens produced by :class:`repro.sql.lexer.Lexer`."""
+    """Kinds of lexical tokens produced by :func:`repro.sql.lexer.tokenize`."""
 
     KEYWORD = "keyword"
     IDENTIFIER = "identifier"
@@ -109,16 +109,8 @@ KEYWORDS = frozenset(
     }
 )
 
-#: Multi-character operators, longest first so the lexer can greedily match.
-MULTI_CHAR_OPERATORS = ("<>", "!=", ">=", "<=", "||")
 
-SINGLE_CHAR_OPERATORS = frozenset("+-*/%<>=")
-
-PUNCTUATION = frozenset("(),.;")
-
-
-@dataclass(frozen=True)
-class Token:
+class Token(NamedTuple):
     """One lexical token.
 
     ``value`` preserves the original spelling except for keywords, which are
@@ -135,6 +127,3 @@ class Token:
         if self.type is not token_type:
             return False
         return value is None or self.value == value
-
-    def __repr__(self) -> str:  # pragma: no cover - debugging aid
-        return f"Token({self.type.name}, {self.value!r} @{self.line}:{self.column})"

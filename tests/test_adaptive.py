@@ -20,9 +20,10 @@ from repro.query.feedback import (
     RuntimeStatsStore,
     fragment_shape,
     predicate_shape,
+    query_shape,
     rows_shape,
 )
-from repro.sql import parse_expression
+from repro.sql import parse_expression, parse_query
 
 JOIN = "SELECT l.k, r.pad FROM lhs l JOIN rhs r ON l.k = r.k"
 
@@ -116,6 +117,27 @@ class TestShapes:
 
     def test_no_predicate_shape(self):
         assert predicate_shape(None) == "-"
+
+    def test_aggregate_block_shape_ignores_only_literals(self):
+        def shape(sql):
+            return query_shape(parse_query(sql))
+
+        base = shape(
+            "SELECT grp, SUM(val + 1) FROM t WHERE val > 10 "
+            "GROUP BY grp HAVING COUNT(*) > 2"
+        )
+        assert base == shape(
+            "SELECT grp, SUM(val + 7) FROM t WHERE val > 99 "
+            "GROUP BY grp HAVING COUNT(*) > 5"
+        )
+        assert base != shape(
+            "SELECT grp, SUM(pad + 1) FROM t WHERE val > 10 "
+            "GROUP BY grp HAVING COUNT(*) > 2"
+        )
+        assert base != shape(
+            "SELECT grp, AVG(val + 1) FROM t WHERE val > 10 "
+            "GROUP BY grp HAVING COUNT(*) > 2"
+        )
 
     def test_fragment_shape_varies_with_projection_and_semijoin(self):
         predicate = parse_expression("grp = 1")

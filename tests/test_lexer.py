@@ -1,10 +1,14 @@
 """Lexer unit tests."""
 
+import re
+
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.errors import LexerError
-from repro.sql.lexer import tokenize
-from repro.sql.tokens import TokenType
+from repro.sql.lexer import _PATTERN, tokenize
+from repro.sql.tokens import KEYWORDS, TokenType
 
 
 def kinds(text):
@@ -137,3 +141,257 @@ class TestPositions:
         assert token.matches(TokenType.KEYWORD, "SELECT")
         assert not token.matches(TokenType.KEYWORD, "FROM")
         assert token.matches(TokenType.KEYWORD)
+
+
+# ---------------------------------------------------------------------------
+# Differential test against the character-at-a-time scanner the regex lexer
+# replaced.  The scanner is kept here, unchanged in behaviour, as the oracle:
+# for any text both must give the same (type, value, line, column) tokens or
+# the same LexerError message, position, line and column.
+# ---------------------------------------------------------------------------
+
+
+class ReferenceScanner:
+    """The former hand-written lexer: one character per ``_advance``."""
+
+    IDENT_START = frozenset(
+        "abcdefghijklmnopqrstuvwxyzABCDEFGHIJKLMNOPQRSTUVWXYZ_"
+    )
+    IDENT_CONT = IDENT_START | frozenset("0123456789$#")
+    DIGITS = frozenset("0123456789")
+    MULTI_CHAR_OPERATORS = ("<>", "!=", ">=", "<=", "||")
+    SINGLE_CHAR_OPERATORS = frozenset("+-*/%<>=")
+    PUNCTUATION = frozenset("(),.;")
+
+    def __init__(self, text):
+        self.text = text
+        self.pos = 0
+        self.line = 1
+        self.column = 1
+
+    def _peek(self, offset=0):
+        index = self.pos + offset
+        return self.text[index] if index < len(self.text) else ""
+
+    def _advance(self, count=1):
+        for _ in range(count):
+            if self.pos < len(self.text):
+                if self.text[self.pos] == "\n":
+                    self.line += 1
+                    self.column = 1
+                else:
+                    self.column += 1
+                self.pos += 1
+
+    def tokenize(self):
+        tokens = []
+        while True:
+            self._skip_whitespace_and_comments()
+            if self.pos >= len(self.text):
+                tokens.append((TokenType.EOF, "", self.line, self.column))
+                return tokens
+            tokens.append(self._next_token())
+
+    def _skip_whitespace_and_comments(self):
+        while self.pos < len(self.text):
+            ch = self._peek()
+            if ch in " \t\r\n":
+                self._advance()
+            elif ch == "-" and self._peek(1) == "-":
+                while self.pos < len(self.text) and self._peek() != "\n":
+                    self._advance()
+            elif ch == "/" and self._peek(1) == "*":
+                start_line, start_col = self.line, self.column
+                self._advance(2)
+                while self.pos < len(self.text):
+                    if self._peek() == "*" and self._peek(1) == "/":
+                        self._advance(2)
+                        break
+                    self._advance()
+                else:
+                    raise LexerError(
+                        "unterminated block comment", self.pos, start_line, start_col
+                    )
+            else:
+                return
+
+    def _next_token(self):
+        ch = self._peek()
+        line, column = self.line, self.column
+        if ch in self.IDENT_START:
+            start = self.pos
+            while self.pos < len(self.text) and self._peek() in self.IDENT_CONT:
+                self._advance()
+            word = self.text[start : self.pos]
+            if word.upper() in KEYWORDS:
+                return (TokenType.KEYWORD, word.upper(), line, column)
+            return (TokenType.IDENTIFIER, word, line, column)
+        if ch in self.DIGITS or (ch == "." and self._peek(1) in self.DIGITS):
+            return self._number(line, column)
+        if ch == "'":
+            return self._quoted("'", TokenType.STRING, "string literal", line, column)
+        if ch == '"':
+            return self._quoted(
+                '"', TokenType.QUOTED_IDENTIFIER, "quoted identifier", line, column
+            )
+        if ch == "?":
+            self._advance()
+            return (TokenType.PARAMETER, "?", line, column)
+        for op in self.MULTI_CHAR_OPERATORS:
+            if self.text.startswith(op, self.pos):
+                self._advance(len(op))
+                return (TokenType.OPERATOR, op, line, column)
+        if ch in self.SINGLE_CHAR_OPERATORS:
+            self._advance()
+            return (TokenType.OPERATOR, ch, line, column)
+        if ch in self.PUNCTUATION:
+            self._advance()
+            return (TokenType.PUNCTUATION, ch, line, column)
+        raise LexerError(f"unexpected character {ch!r}", self.pos, line, column)
+
+    def _number(self, line, column):
+        start = self.pos
+        is_float = False
+        while self._peek() in self.DIGITS:
+            self._advance()
+        if self._peek() == "." and self._peek(1) in self.DIGITS:
+            is_float = True
+            self._advance()
+            while self._peek() in self.DIGITS:
+                self._advance()
+        elif self._peek() == "." and self._peek(1) not in self.IDENT_START:
+            is_float = True
+            self._advance()
+        if self._peek() in ("e", "E"):
+            lookahead = 2 if self._peek(1) in ("+", "-") else 1
+            if self._peek(lookahead) in self.DIGITS:
+                is_float = True
+                self._advance(lookahead)
+                while self._peek() in self.DIGITS:
+                    self._advance()
+        token_type = TokenType.FLOAT if is_float else TokenType.INTEGER
+        return (token_type, self.text[start : self.pos], line, column)
+
+    def _quoted(self, quote, token_type, what, line, column):
+        self._advance()
+        parts = []
+        while True:
+            if self.pos >= len(self.text):
+                raise LexerError(f"unterminated {what}", self.pos, line, column)
+            ch = self._peek()
+            if ch == quote:
+                if self._peek(1) == quote:
+                    parts.append(quote)
+                    self._advance(2)
+                else:
+                    self._advance()
+                    return (token_type, "".join(parts), line, column)
+            else:
+                parts.append(ch)
+                self._advance()
+
+
+def outcome(lex, text):
+    """Tokens as plain tuples, or the LexerError's observable fields."""
+    try:
+        return [tuple(token) for token in lex(text)]
+    except LexerError as error:
+        return ("LexerError", str(error), error.position, error.line, error.column)
+
+
+def reference_tokenize(text):
+    return ReferenceScanner(text).tokenize()
+
+
+#: Fragments that sit on the lexer's edges and lex cleanly on their own.
+LEXABLE_FRAGMENTS = (
+    "--", "-- note\n", "-", "*/", "/* c */", "/**/", "/* a\nb */",
+    "''", "'it''s'", "'x\ny'", '""', '"a""b"',
+    "1", "42", "1.", ".5", "1e-3", "1e", "1E+", "1.e5", "3..4", "2.5e+7", ".",
+    "e", "E", "e5", "x", "ab", "_", "emp$x", "t#2",
+    " ", "\t", "\r", "\n", "\r\n",
+    "+", "*", "%", "<", ">", "=", "<>", "!=", ">=", "<=", "||",
+    "(", ")", ",", ";", "?", "SELECT", "select", "From", "in", "null",
+)
+#: Fragments that open an unterminated token or hold a character SQL rejects.
+TROUBLE_FRAGMENTS = (
+    "'", "'a''b", '"', '"a""b""', "/*", "/*/", "$", "#", "!", "|", "@",
+    "\u00e9", "\u00df", "\u0663", "\u65e5\u672c", "\x0b", "\u00a0",
+)
+
+lexable_text = st.lists(st.sampled_from(LEXABLE_FRAGMENTS), max_size=24).map(
+    "".join
+)
+any_text = st.lists(
+    st.sampled_from(LEXABLE_FRAGMENTS + TROUBLE_FRAGMENTS)
+    | st.text(alphabet="ab1e.'\"-/*+ \n$#\u00e9?", max_size=3)
+    | st.text(max_size=2),
+    max_size=24,
+).map("".join)
+
+
+class TestDifferentialAgainstReferenceScanner:
+    @settings(max_examples=400, deadline=None)
+    @given(lexable_text)
+    def test_same_tokens(self, text):
+        assert outcome(tokenize, text) == outcome(reference_tokenize, text)
+
+    @settings(max_examples=400, deadline=None)
+    @given(any_text)
+    def test_same_tokens_or_same_error(self, text):
+        assert outcome(tokenize, text) == outcome(reference_tokenize, text)
+
+    @settings(max_examples=200, deadline=None)
+    @given(lexable_text, st.sampled_from(["'", '"', "/*"]))
+    def test_unterminated_after_a_valid_prefix(self, prefix, opener):
+        text = prefix + " " + opener + "tail"
+        assert outcome(tokenize, text) == outcome(reference_tokenize, text)
+
+    @pytest.mark.parametrize(
+        "text",
+        [
+            "SELECT a FROM t WHERE b IN (1, 2.5, .5, 1e-3, 'x''y') -- done",
+            'SELECT "Weird ""Name""" FROM /* c\n */ t\nWHERE x <> ?',
+            "1.e5 3..4 1e 1E+ x.e e1 1.5e",
+            "emp$x t#2 $x",
+        ],
+    )
+    def test_examples(self, text):
+        assert outcome(tokenize, text) == outcome(reference_tokenize, text)
+
+
+class TestRegexTraps:
+    """Three ways a master-pattern lexer can part from the scanner."""
+
+    @pytest.mark.parametrize(
+        "text, message",
+        [
+            ("'a''b", "unterminated string literal"),
+            ("x = 'a''b''c", "unterminated string literal"),
+            ('"a""b""', "unterminated quoted identifier"),
+            ('SELECT "a""b""c', "unterminated quoted identifier"),
+        ],
+    )
+    def test_quote_body_does_not_close_on_an_escaped_pair(self, text, message):
+        with pytest.raises(LexerError, match=message) as exc:
+            tokenize(text)
+        assert exc.value.position == len(text)
+        assert outcome(tokenize, text) == outcome(reference_tokenize, text)
+
+    def test_unterminated_block_comment_is_not_slash_star(self):
+        with pytest.raises(LexerError, match="unterminated block comment") as exc:
+            tokenize("SELECT 1\n  /* open")
+        assert (exc.value.position, exc.value.line, exc.value.column) == (18, 2, 3)
+
+    @pytest.mark.parametrize("text", ["é", "xé", "٣", "1٣", "ß", " ", "\x0b"])
+    def test_non_ascii_letters_digits_and_spaces_are_rejected(self, text):
+        with pytest.raises(LexerError, match="unexpected character"):
+            tokenize(text)
+        assert outcome(tokenize, text) == outcome(reference_tokenize, text)
+
+    def test_pattern_uses_no_syntax_newer_than_python_3_10(self):
+        # Atomic groups "(?>...)" and possessive quantifiers ("*+", "++",
+        # "?+", "{m,n}+") first compile on Python 3.11.
+        source = _PATTERN.pattern
+        assert "(?>" not in source
+        assert not re.search(r"[*+?}]\+", source)
